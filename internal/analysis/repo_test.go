@@ -25,7 +25,6 @@ func TestRepoTreeClean(t *testing.T) {
 	engines := map[string][]string{
 		"ruu/internal/core":          {"RUU"},
 		"ruu/internal/issue/simple":  {"Engine"},
-		"ruu/internal/issue/rstu":    {"Engine"},
 		"ruu/internal/issue/tagunit": {"Engine"},
 		"ruu/internal/issue/reorder": {"Engine"},
 	}

@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"ruu/internal/asm"
+	"ruu/internal/core"
 	"ruu/internal/exec"
-	"ruu/internal/isa"
 	"ruu/internal/issue"
-	"ruu/internal/issue/rstu"
+	"ruu/internal/issue/reorder"
 	"ruu/internal/issue/simple"
 	"ruu/internal/issue/tagunit"
-	"ruu/internal/issue/tomasulo"
 	"ruu/internal/machine"
 )
 
@@ -32,11 +31,11 @@ func runEngine(t *testing.T, eng issue.Engine, src string) (machine.Result, *exe
 func allEngines() map[string]func() issue.Engine {
 	return map[string]func() issue.Engine{
 		"simple":   func() issue.Engine { return simple.New() },
-		"tomasulo": func() issue.Engine { return tomasulo.New(0) },
-		"tu-dist":  func() issue.Engine { return tagunit.New(tagunit.Config{TagUnitSize: 12}) },
-		"tu-pool":  func() issue.Engine { return tagunit.New(tagunit.Config{TagUnitSize: 12, PoolSize: 8}) },
-		"rstu":     func() issue.Engine { return rstu.New(8) },
-		"rstu-2p":  func() issue.Engine { return rstu.New(8, rstu.WithPaths(2)) },
+		"tomasulo": func() issue.Engine { return tagunit.New(tagunit.Config{}) },
+		"tu-dist":  func() issue.Engine { return tagunit.New(tagunit.Config{TagUnitSize: 12, Stations: tagunit.PerUnit(2)}) },
+		"tu-pool":  func() issue.Engine { return tagunit.New(tagunit.Config{TagUnitSize: 12, Stations: tagunit.Pool(8)}) },
+		"rstu":     func() issue.Engine { return tagunit.New(tagunit.Config{Stations: tagunit.Pool(8)}) },
+		"rstu-2p":  func() issue.Engine { return tagunit.New(tagunit.Config{Stations: tagunit.Pool(8), Paths: 2}) },
 	}
 }
 
@@ -140,7 +139,7 @@ func TestSimpleEngineWAWStall(t *testing.T) {
 // TestTagUnitBlocksWhenFull reproduces the TU-full condition of §3.2.1:
 // with a 2-entry Tag Unit, a third outstanding destination blocks issue.
 func TestTagUnitBlocksWhenFull(t *testing.T) {
-	eng := tagunit.New(tagunit.Config{TagUnitSize: 2, PoolSize: 8})
+	eng := tagunit.New(tagunit.Config{TagUnitSize: 2, Stations: tagunit.Pool(8)})
 	res, st := runEngine(t, eng, `
     lsi    S6, 42
     frecip S1, S6
@@ -164,12 +163,8 @@ func TestTagUnitBlocksWhenFull(t *testing.T) {
 // consecutive FP adds stall on the station while the (idle) multiplier's
 // station cannot help — the §3.2.2 motivation for the merged pool.
 func TestDistributedStationsStarve(t *testing.T) {
-	per := map[isa.Unit]int{}
-	for u := isa.Unit(1); u < isa.NumUnits; u++ {
-		per[u] = 1
-	}
-	dist := tagunit.New(tagunit.Config{TagUnitSize: 12, PerUnit: per})
-	pool := tagunit.New(tagunit.Config{TagUnitSize: 12, PoolSize: 10})
+	dist := tagunit.New(tagunit.Config{TagUnitSize: 12, Stations: tagunit.PerUnit(1)})
+	pool := tagunit.New(tagunit.Config{TagUnitSize: 12, Stations: tagunit.Pool(10)})
 	src := `
     frecip S6, S7     ; slow producer: the fadds wait in their stations
     fadd S1, S6, S6
@@ -201,8 +196,8 @@ func TestRSTUTwoPathsDispatchesTwo(t *testing.T) {
     fmul S4, S6, S6
     halt
 `
-	r1, _ := runEngine(t, rstu.New(8), src)
-	r2, _ := runEngine(t, rstu.New(8, rstu.WithPaths(2)), src)
+	r1, _ := runEngine(t, tagunit.New(tagunit.Config{Stations: tagunit.Pool(8)}), src)
+	r2, _ := runEngine(t, tagunit.New(tagunit.Config{Stations: tagunit.Pool(8), Paths: 2}), src)
 	if r2.Stats.Cycles > r1.Stats.Cycles {
 		t.Fatalf("2 paths (%d cycles) slower than 1 (%d)", r2.Stats.Cycles, r1.Stats.Cycles)
 	}
@@ -212,11 +207,11 @@ func TestRSTUTwoPathsDispatchesTwo(t *testing.T) {
 func TestEngineNames(t *testing.T) {
 	cases := map[string]issue.Engine{
 		"simple":   simple.New(),
-		"tomasulo": tomasulo.New(2),
+		"tomasulo": tagunit.New(tagunit.Config{Stations: tagunit.PerUnit(2)}),
 		"tu-dist":  tagunit.New(tagunit.Config{TagUnitSize: 4}),
-		"tu-pool":  tagunit.New(tagunit.Config{TagUnitSize: 4, PoolSize: 4}),
-		"rstu":     rstu.New(4),
-		"rstu-2p":  rstu.New(4, rstu.WithPaths(2)),
+		"tu-pool":  tagunit.New(tagunit.Config{TagUnitSize: 4, Stations: tagunit.Pool(4)}),
+		"rstu":     tagunit.New(tagunit.Config{Stations: tagunit.Pool(4)}),
+		"rstu-2p":  tagunit.New(tagunit.Config{Stations: tagunit.Pool(4), Paths: 2}),
 	}
 	for want, eng := range cases {
 		if got := eng.Name(); got != want {
@@ -284,6 +279,39 @@ func TestStoreBeforeLoadSameAddressAllEngines(t *testing.T) {
 			_, st := runEngine(t, mk(), src)
 			if st.A[2] != 9 || st.A[4] != 11 {
 				t.Errorf("A2=%d A4=%d, want 9/11", st.A[2], st.A[4])
+			}
+		})
+	}
+}
+
+// TestSameAddressStoresKeepProgramOrder: an older store whose data is
+// still in flight and a younger store to the same address whose data is
+// ready. Engines that write memory at execution must still leave the
+// younger value in memory: the younger store waits on the load-register
+// chain until the older one has written.
+func TestSameAddressStoresKeepProgramOrder(t *testing.T) {
+	src := `
+.word z 0
+    lai    A7, 0
+    lsi    S2, 42
+    frecip S1, S2
+    sts    S1, =z(A7)
+    lsi    S3, 7
+    sts    S3, =z(A7)
+    halt
+`
+	engines := allEngines()
+	engines["reorder"] = func() issue.Engine { return reorder.New(reorder.ModePlain, 8) }
+	engines["ruu"] = func() issue.Engine { return core.New(core.Config{Size: 8}) }
+	for name, mk := range engines {
+		t.Run(name, func(t *testing.T) {
+			unit, err := asm.Assemble(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st := runEngine(t, mk(), src)
+			if got := st.Mem.Peek(unit.Symbols["z"]); got != 7 {
+				t.Errorf("z = %d, want 7 from the younger store", got)
 			}
 		})
 	}

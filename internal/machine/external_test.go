@@ -1,14 +1,12 @@
 package machine_test
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"ruu/internal/asm"
 	"ruu/internal/core"
 	"ruu/internal/exec"
-	"ruu/internal/issue/rstu"
+	"ruu/internal/issue/tagunit"
 	"ruu/internal/livermore"
 	"ruu/internal/machine"
 )
@@ -66,7 +64,7 @@ func TestExternalInterruptPreciseResume(t *testing.T) {
 func TestExternalInterruptImpreciseStops(t *testing.T) {
 	k := livermore.ByName("LLL1")
 	unit, _ := k.Unit()
-	m := machine.New(rstu.New(12), machine.Config{})
+	m := machine.New(tagunit.New(tagunit.Config{Stations: tagunit.Pool(12)}), machine.Config{})
 	m.ScheduleExternal(200)
 	m.SetHandler(func(st *exec.State, ev machine.InterruptEvent) machine.InterruptAction {
 		t.Fatal("handler must not be consulted for an imprecise engine")
@@ -102,38 +100,5 @@ func TestExternalInterruptAfterCompletion(t *testing.T) {
 	}
 	if res.Trap != nil || res.Stats.Interrupts != 0 {
 		t.Fatalf("res = %+v", res)
-	}
-}
-
-// TestPipelineTrace: the per-cycle trace facility emits one line per
-// cycle with the decode contents.
-func TestPipelineTrace(t *testing.T) {
-	u, err := asm.Assemble(`
-    lai  A1, 2
-    adda A2, A1, A1
-    halt
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	cfg := machine.DefaultConfig()
-	cfg.Trace = &buf
-	m := machine.New(core.New(core.Config{Size: 4}), cfg)
-	res, err := m.Run(u.Prog, exec.NewState(u.NewMemory()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	// The final cycle returns at the retire point, before the trace
-	// write, so the line count is Cycles-1.
-	if int64(len(lines)) != res.Stats.Cycles-1 {
-		t.Fatalf("%d trace lines for %d cycles", len(lines), res.Stats.Cycles)
-	}
-	text := buf.String()
-	for _, want := range []string{"lai A1, 2", "adda A2, A1, A1", "halt", "in-flight="} {
-		if !strings.Contains(text, want) {
-			t.Errorf("trace missing %q:\n%s", want, text)
-		}
 	}
 }

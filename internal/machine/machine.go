@@ -8,7 +8,6 @@ package machine
 
 import (
 	"fmt"
-	"io"
 
 	"ruu/internal/exec"
 	"ruu/internal/fu"
@@ -50,11 +49,6 @@ type Config struct {
 	// InterruptPenalty is the fetch penalty when resuming from a
 	// precise interrupt (default 8).
 	InterruptPenalty int
-	// Trace, when non-nil, receives one line per simulated cycle: the
-	// decode-stage contents, the engine occupancy, and the retired
-	// count (a legacy debugging facility; the structured alternative is
-	// Probe).
-	Trace io.Writer
 	// Probe, when non-nil, receives the structured pipeline event
 	// stream: per-instruction lifecycle events (fetch, decode, issue,
 	// dispatch, execute, writeback, commit, squash), decode-stall
@@ -610,15 +604,6 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 				LoadRegs: ctx.LoadRegs.InUse(),
 				BusBusy:  ctx.Bus.Busy(c),
 			})
-		}
-
-		if w := m.cfg.Trace; w != nil {
-			decodeDesc := "-"
-			if dec.valid {
-				decodeDesc = fmt.Sprintf("pc=%d %s", dec.pc, dec.ins)
-			}
-			fmt.Fprintf(w, "%6d | decode: %-28s | in-flight=%-2d retired=%d\n",
-				c, decodeDesc, m.eng.InFlight(), total())
 		}
 	}
 }

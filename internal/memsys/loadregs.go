@@ -196,6 +196,24 @@ func (lr *LoadRegs) MustForward(b Binding) bool {
 	return false
 }
 
+// OlderStoresWritten reports whether every store bound to the register
+// before b has written memory (or been squashed). A store that executes
+// at completion must wait for it: the chain holds same-address
+// operations in program order, so a younger store whose data is ready
+// would otherwise write memory first and be overwritten by the older one.
+func (lr *LoadRegs) OlderStoresWritten(b Binding) bool {
+	if !b.Valid() {
+		return true
+	}
+	r := &lr.regs[b.Slot]
+	for i := 0; i < b.Pos; i++ {
+		if e := &r.chain[i]; e.isStore && !e.released && !e.squashed {
+			return false
+		}
+	}
+	return true
+}
+
 // Release ends a memory operation's claim (load: value written back;
 // store: memory updated). The register becomes free when no pending
 // operations remain bound to it. The released operation's buffered data

@@ -151,6 +151,33 @@ func TestLoadRegsStoreToLoadForwarding(t *testing.T) {
 	}
 }
 
+// TestLoadRegsStoreStoreOrder: a store may write memory only once every
+// older store on its chain has written or been squashed; loads between
+// them do not hold it back.
+func TestLoadRegsStoreStoreOrder(t *testing.T) {
+	lr := NewLoadRegs(2)
+	s1, _, _ := lr.Bind(8, true)
+	l, _, _ := lr.Bind(8, false)
+	s2, _, _ := lr.Bind(8, true)
+	s3, _, _ := lr.Bind(8, true)
+	if !lr.OlderStoresWritten(s1) || !lr.OlderStoresWritten(Invalid) {
+		t.Fatal("the oldest store (or no binding) must be free to write")
+	}
+	if lr.OlderStoresWritten(s2) {
+		t.Fatal("younger store may write before the older store")
+	}
+	lr.Release(s1)
+	if !lr.OlderStoresWritten(s2) {
+		t.Fatal("older store written, but the younger one is still held (by a load?)")
+	}
+	lr.Squash(s2)
+	if !lr.OlderStoresWritten(s3) {
+		t.Fatal("a squashed store must not hold younger stores back")
+	}
+	lr.Release(l)
+	lr.Release(s3)
+}
+
 func TestLoadRegsLoadLoadChain(t *testing.T) {
 	lr := NewLoadRegs(4)
 	l1, toMem, _ := lr.Bind(64, false)

@@ -28,13 +28,10 @@ import (
 	"ruu/internal/asm"
 	"ruu/internal/core"
 	"ruu/internal/exec"
-	"ruu/internal/isa"
 	"ruu/internal/issue"
 	"ruu/internal/issue/reorder"
-	"ruu/internal/issue/rstu"
 	"ruu/internal/issue/simple"
 	"ruu/internal/issue/tagunit"
-	"ruu/internal/issue/tomasulo"
 	"ruu/internal/machine"
 	"ruu/internal/obs"
 )
@@ -217,23 +214,19 @@ func NewEngine(cfg Config) (Engine, error) {
 	case EngineSimple:
 		return simple.New(), nil
 	case EngineTomasulo:
-		return tomasulo.New(cfg.Entries), nil
+		return tagunit.New(tagunit.Config{Stations: tagunit.PerUnit(cfg.Entries)}), nil
 	case EngineTagUnit:
-		per := make(map[isa.Unit]int, isa.NumUnits)
-		for u := isa.Unit(1); u < isa.NumUnits; u++ {
-			per[u] = defaultInt(cfg.Entries, tomasulo.DefaultStations)
-		}
 		return tagunit.New(tagunit.Config{
+			Stations:    tagunit.PerUnit(cfg.Entries),
 			TagUnitSize: defaultInt(cfg.TagUnitSize, 20),
-			PerUnit:     per,
 		}), nil
 	case EngineRSPool:
 		return tagunit.New(tagunit.Config{
+			Stations:    tagunit.Pool(cfg.Entries),
 			TagUnitSize: defaultInt(cfg.TagUnitSize, 20),
-			PoolSize:    defaultInt(cfg.Entries, 10),
 		}), nil
 	case EngineRSTU:
-		return rstu.New(cfg.Entries, rstu.WithPaths(defaultInt(cfg.Paths, 1))), nil
+		return tagunit.New(tagunit.Config{Stations: tagunit.Pool(cfg.Entries), Paths: cfg.Paths}), nil
 	case EngineReorder:
 		return reorder.New(reorder.ModePlain, cfg.Entries), nil
 	case EngineReorderBypass:

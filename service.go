@@ -102,7 +102,7 @@ func (r *Runner) Pool() *sched.Pool {
 // when an observer is attached, because probes are single-stream
 // consumers and concurrent runs would interleave their events.
 func (r *Runner) poolFor(cfg Config) *sched.Pool {
-	if r == nil || cfg.Machine.Probe != nil || cfg.Machine.Trace != nil {
+	if r == nil || cfg.Machine.Probe != nil {
 		return nil
 	}
 	return r.pool
@@ -114,7 +114,7 @@ func (r *Runner) poolFor(cfg Config) *sched.Pool {
 // hit would silently skip the observer's event stream — or when the
 // program does not encode.
 func jobKey(cfg Config, u *Unit, st *State) sched.Key {
-	if cfg.Machine.Probe != nil || cfg.Machine.Trace != nil {
+	if cfg.Machine.Probe != nil {
 		return sched.NoKey
 	}
 	parcels, err := isa.Encode(u.Prog)
@@ -131,8 +131,8 @@ func jobKey(cfg Config, u *Unit, st *State) sched.Key {
 	h.Int("width", int64(cfg.CommitWidth))
 	// The machine frame is hashed through its Go representation so a
 	// field added to machine.Config can never silently alias two
-	// different timings (Probe and Trace are nil here by the guard
-	// above, so the rendering is stable).
+	// different timings (Probe is nil here by the guard above, so the
+	// rendering is stable).
 	h.String("machine", fmt.Sprintf("%#v", cfg.Machine))
 	h.Words("prog", len(parcels), func(i int) int64 { return int64(parcels[i]) })
 	h.Words("regs", isa.NumRegs, func(i int) int64 { return st.Reg(isa.FromFlat(i)) })
