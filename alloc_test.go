@@ -2,6 +2,7 @@ package ruu_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ruu"
@@ -28,6 +29,31 @@ loop:
 `, n)
 }
 
+// alternatingLoop is allocLoop with a branch whose direction flips
+// every iteration (S0 alternates 1, 0, 1, …), so a speculating machine
+// mispredicts — and squashes — a number of times that grows with n.
+func alternatingLoop(n int) string {
+	return fmt.Sprintf(`
+.equ   n %d
+.array x 8
+
+    lai   A7, 0
+    lai   A0, =n
+    lsi   S1, 1
+    lsi   S0, 0
+loop:
+    xors  S0, S0, S1
+    jsz   skip
+    lds   S2, =x(A7)
+    adds  S2, S2, S1
+    sts   S2, =x(A7)
+skip:
+    addai A0, A0, -1
+    janz  loop
+    halt
+`, n)
+}
+
 // TestCycleZeroAllocs proves the claim behind the hotpathalloc pass
 // (internal/analysis): with the nil probe, a simulated machine cycle
 // allocates nothing. Allocation per cycle is measured as a delta — a
@@ -38,20 +64,39 @@ loop:
 // counts by hundreds.
 func TestCycleZeroAllocs(t *testing.T) {
 	const shortN, longN = 8, 512
-	engines := []ruu.EngineKind{
+	// The process's first garbage collection starts the runtime's
+	// background mark workers, which allocate; run it now so it cannot
+	// land inside one of the measurements below.
+	runtime.GC()
+	type allocCase struct {
+		name string
+		cfg  ruu.Config
+		prog func(int) string
+	}
+	var cases []allocCase
+	for _, eng := range []ruu.EngineKind{
 		ruu.EngineSimple, ruu.EngineTomasulo, ruu.EngineTagUnit,
 		ruu.EngineRSPool, ruu.EngineRSTU, ruu.EngineRUU,
+		ruu.EngineReorder, ruu.EngineReorderBypass, ruu.EngineReorderFuture,
+	} {
+		cases = append(cases, allocCase{string(eng), ruu.Config{Engine: eng}, allocLoop})
 	}
-	for _, eng := range engines {
-		t.Run(string(eng), func(t *testing.T) {
-			cfg := ruu.Config{Engine: eng}
-			measure := func(n int) (allocs float64, cycles int64) {
-				u, err := ruu.Assemble(allocLoop(n))
+	spec := ruu.Config{Engine: ruu.EngineRUU}
+	spec.Machine.Speculate = true
+	cases = append(cases,
+		allocCase{"ruu-none", ruu.Config{Engine: ruu.EngineRUU, Bypass: ruu.BypassNone}, allocLoop},
+		allocCase{"ruu-limited", ruu.Config{Engine: ruu.EngineRUU, Bypass: ruu.BypassLimited}, allocLoop},
+		allocCase{"ruu-spec-mispredicting", spec, alternatingLoop},
+	)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			measure := func(n int) (allocs float64, res ruu.Result) {
+				u, err := ruu.Assemble(tc.prog(n))
 				if err != nil {
 					t.Fatal(err)
 				}
 				run := func() ruu.Result {
-					m, err := ruu.NewMachine(cfg)
+					m, err := ruu.NewMachine(tc.cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -61,13 +106,17 @@ func TestCycleZeroAllocs(t *testing.T) {
 					}
 					return res
 				}
-				cycles = run().Stats.Cycles
-				return testing.AllocsPerRun(5, func() { run() }), cycles
+				res = run()
+				return testing.AllocsPerRun(5, func() { run() }), res
 			}
-			shortAllocs, shortCycles := measure(shortN)
-			longAllocs, longCycles := measure(longN)
+			shortAllocs, short := measure(shortN)
+			longAllocs, long := measure(longN)
+			shortCycles, longCycles := short.Stats.Cycles, long.Stats.Cycles
 			if longCycles < shortCycles+500 {
 				t.Fatalf("loop sizing broken: short=%d long=%d cycles", shortCycles, longCycles)
+			}
+			if tc.cfg.Machine.Speculate && long.Stats.Mispredicts < short.Stats.Mispredicts+100 {
+				t.Fatalf("mispredicts do not grow: short=%d long=%d", short.Stats.Mispredicts, long.Stats.Mispredicts)
 			}
 			if delta := longAllocs - shortAllocs; delta > 0.5 {
 				perCycle := delta / float64(longCycles-shortCycles)

@@ -40,6 +40,37 @@ func TestNewEngineKinds(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsAbsurdSizes: a size above ruu.MaxSize is an error
+// from NewEngine and NewMachine, for every engine, instead of a panic or
+// a multi-gigabyte allocation; MaxSize itself is accepted.
+func TestNewEngineRejectsAbsurdSizes(t *testing.T) {
+	set := map[string]func(*ruu.Config, int){
+		"entries":        func(c *ruu.Config, v int) { c.Entries = v },
+		"tag unit size":  func(c *ruu.Config, v int) { c.TagUnitSize = v },
+		"paths":          func(c *ruu.Config, v int) { c.Paths = v },
+		"load registers": func(c *ruu.Config, v int) { c.Machine.LoadRegs = v },
+	}
+	for _, kind := range []ruu.EngineKind{ruu.EngineRUU, ruu.EngineRSTU, ruu.EngineRSPool, ruu.EngineTomasulo, ruu.EngineReorder, ruu.EngineSimple} {
+		for field, apply := range set {
+			for _, v := range []int{ruu.MaxSize + 1, 100_000_000, 1 << 60} {
+				cfg := ruu.Config{Engine: kind}
+				apply(&cfg, v)
+				if _, err := ruu.NewEngine(cfg); err == nil || !strings.Contains(err.Error(), field) {
+					t.Errorf("%s: %s=%d: err = %v", kind, field, v, err)
+				}
+				if _, err := ruu.NewMachine(cfg); err == nil {
+					t.Errorf("%s: NewMachine accepted %s=%d", kind, field, v)
+				}
+			}
+			cfg := ruu.Config{Engine: kind}
+			apply(&cfg, ruu.MaxSize)
+			if _, err := ruu.NewEngine(cfg); err != nil {
+				t.Errorf("%s: %s=MaxSize rejected: %v", kind, field, err)
+			}
+		}
+	}
+}
+
 // TestRunHelper: the one-call Run covers assemble + machine + run.
 func TestRunHelper(t *testing.T) {
 	res, err := ruu.Run(ruu.Config{Engine: ruu.EngineRUU, Entries: 8}, `

@@ -7,7 +7,7 @@
 // precise interrupts from a single structure — survives in this
 // reproduction only while two disciplines hold: architectural state is
 // mutated exclusively on audited commit/writeback paths, and every run
-// is bit-for-bit reproducible. The runtime core.SelfCheck verifies the
+// is bit-for-bit reproducible. The runtime tagunit SelfCheck verifies the
 // first at simulation time for the configurations that happen to run;
 // the passes here verify both at the source level for every engine and
 // every configuration, so the disciplines scale with the codebase
@@ -127,7 +127,7 @@ const (
 
 // Package is one parsed and type-checked package under analysis.
 type Package struct {
-	// Path is the package's import path ("ruu/internal/core").
+	// Path is the package's import path ("ruu/internal/machine").
 	Path string
 	// Fset positions all files of the enclosing load.
 	Fset *token.FileSet

@@ -12,7 +12,6 @@ import "ruu/internal/isa"
 // concurrency added there without a written justification is a lint
 // failure.
 var SimPackages = []string{
-	"internal/core",
 	"internal/issue",
 	"internal/machine",
 	"internal/memsys",
@@ -59,7 +58,6 @@ var NilnessPackages = []string{
 // the module path); the probeemit and precisestate passes run over
 // these.
 var EnginePackages = []string{
-	"internal/core",
 	"internal/issue",
 	"internal/machine",
 }
@@ -67,27 +65,25 @@ var EnginePackages = []string{
 // DefaultPreciseStateAllow is the audited set of architectural-state
 // mutator functions, per package (relative to the module path). The
 // RUU and the reorder buffer mutate only at commit (the precise
-// discipline); the imprecise engines mutate at completion, from the
-// result-broadcast and memory-op paths audited here. Extending this
-// list is an explicit, reviewed act — see docs/ANALYSIS.md.
+// discipline); the imprecise engines mutate at completion. Extending
+// this list is an explicit, reviewed act — see docs/ANALYSIS.md.
 var DefaultPreciseStateAllow = map[string][]string{
-	// RUU (§5): all architectural writes happen at the head, in commit.
-	"internal/core": {"commit"},
-	// Reorder buffer variants: likewise commit-only.
+	// Reorder buffer variants: all architectural writes happen at the
+	// head, in commit.
 	"internal/issue/reorder": {"commit"},
 	// Simple in-order issue: registers update at result writeback in
 	// BeginCycle; stores write memory at issue (no store buffering).
 	"internal/issue/simple": {"BeginCycle", "TryIssue"},
-	// Tomasulo, Tag Unit, RS pool and RSTU: register writeback in
-	// BeginCycle, stores from tryMemOp.
-	"internal/issue/tagunit": {"BeginCycle", "tryMemOp"},
+	// Tomasulo, Tag Unit, RS pool, RSTU and RUU: every write goes
+	// through retire, called at broadcast by the pool organisations and
+	// at in-order commit by the queue (§5).
+	"internal/issue/tagunit": {"retire"},
 }
 
 // HotPathPackages lists the packages (relative to the module path)
 // whose code runs on the machine's per-cycle step; the hotpathalloc
 // pass reports allocation sites reachable from the cycle loop here.
 var HotPathPackages = []string{
-	"internal/core",
 	"internal/issue",
 	"internal/machine",
 	"internal/memsys",
@@ -163,7 +159,7 @@ func DefaultPaperSpec(modulePath string) PaperSpec {
 			modulePath + "/internal/machine",
 			modulePath + "/internal/memsys",
 			modulePath + "/internal/fu",
-			modulePath + "/internal/core",
+			modulePath + "/internal/issue/tagunit",
 		},
 		ScopePrefixes: []string{modulePath + "/cmd"},
 	}

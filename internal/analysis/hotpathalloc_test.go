@@ -22,7 +22,7 @@ func TestHotPathAllocScope(t *testing.T) {
 	pkg := loadFixture(t, "hotpathalloc")
 	cfg := fixtureHotConfig()
 	// Reachable code outside the scope prefixes is not reported.
-	cfg.Scope = []string{"ruu/internal/core"}
+	cfg.Scope = []string{"ruu/internal/issue"}
 	if fs := Check([]*Package{pkg}, []*Pass{NewHotPathAlloc(cfg)}); len(fs) != 0 {
 		t.Errorf("out-of-scope package produced %d findings: %v", len(fs), fs)
 	}

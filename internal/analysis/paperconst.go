@@ -21,7 +21,7 @@ import (
 // the canonical constant.
 //
 // Anchored positions, checked in the configured scope (cmd/, the root
-// experiment harness, and the machine/fu/memsys/core packages):
+// experiment harness, and the machine/fu/memsys/tagunit packages):
 //
 //   - const/var declarations whose name matches an anchor
 //     (DefaultLoadRegs = 6);

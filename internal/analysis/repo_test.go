@@ -23,7 +23,6 @@ func TestRepoTreeClean(t *testing.T) {
 	// The engine fingerprint must recognise the real engines — if it
 	// stops matching, probeemit silently checks nothing.
 	engines := map[string][]string{
-		"ruu/internal/core":          {"RUU"},
 		"ruu/internal/issue/simple":  {"Engine"},
 		"ruu/internal/issue/tagunit": {"Engine"},
 		"ruu/internal/issue/reorder": {"Engine"},

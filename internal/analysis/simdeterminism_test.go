@@ -11,7 +11,7 @@ func TestSimDeterminismScope(t *testing.T) {
 	pkg := loadFixture(t, "simdeterminism")
 	// Out of scope: a violating package outside the sim prefixes is not
 	// this pass's business.
-	pass := NewSimDeterminism("ruu/internal/core")
+	pass := NewSimDeterminism("ruu/internal/issue")
 	if fs := Check([]*Package{pkg}, []*Pass{pass}); len(fs) != 0 {
 		t.Errorf("out-of-scope package produced %d findings: %v", len(fs), fs)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ruu/internal/asm"
-	"ruu/internal/core"
 	"ruu/internal/exec"
 	"ruu/internal/issue"
 	"ruu/internal/issue/reorder"
@@ -302,7 +301,7 @@ func TestSameAddressStoresKeepProgramOrder(t *testing.T) {
 `
 	engines := allEngines()
 	engines["reorder"] = func() issue.Engine { return reorder.New(reorder.ModePlain, 8) }
-	engines["ruu"] = func() issue.Engine { return core.New(core.Config{Size: 8}) }
+	engines["ruu"] = func() issue.Engine { return tagunit.New(tagunit.Config{Stations: tagunit.Queue(8)}) }
 	for name, mk := range engines {
 		t.Run(name, func(t *testing.T) {
 			unit, err := asm.Assemble(src)

@@ -114,9 +114,6 @@ func New(mode Mode, n int) *Engine {
 // Name implements issue.Engine.
 func (e *Engine) Name() string { return "reorder-" + e.mode.String() }
 
-// Size returns the reorder-buffer depth.
-func (e *Engine) Size() int { return e.size }
-
 // Reset implements issue.Engine.
 func (e *Engine) Reset(ctx *issue.Context) {
 	e.ctx = ctx
@@ -216,16 +213,19 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 	if e.trap != nil {
 		return issue.StallDrain
 	}
-	if ins.Op == isa.Nop {
+	if ins.Op == isa.Nop || ins.Op == isa.Trap {
 		// NOP occupies a buffer slot so that the retired count remains a
-		// program-order prefix (preciseness of the count).
-		return e.allocate(c, pc, ins, func(ent *robEntry) { ent.done = true })
-	}
-	if ins.Op == isa.Trap {
-		return e.allocate(c, pc, ins, func(ent *robEntry) {
-			ent.done = true
+		// program-order prefix (preciseness of the count); an explicit
+		// trap faults when it reaches the head.
+		if e.count == e.size {
+			return issue.StallEntry
+		}
+		_, ent := e.allocate(c, pc, ins)
+		if ins.Op == isa.Trap {
 			ent.fault = &exec.Trap{Kind: exec.TrapExplicit, PC: pc}
-		})
+		}
+		e.doneAtIssue(c, ent)
+		return issue.StallNone
 	}
 
 	var srcBuf [2]isa.Reg
@@ -239,79 +239,54 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 		vals[i] = v
 	}
 
-	info := ins.Op.Info()
-	switch {
-	case info.Load:
-		addr := exec.EffAddr(ins, vals[0])
-		lat := int64(e.ctx.Lat[isa.UnitMem])
-		if e.count == e.size {
-			return issue.StallEntry
-		}
-		if !e.ctx.Bus.Reserve(c + lat) {
-			return issue.StallBus
-		}
-		if t := issue.MemTrap(e.ctx, pc, addr); t != nil {
-			return e.allocate(c, pc, ins, func(ent *robEntry) {
-				ent.done = true
-				ent.fault = t
-			})
-		}
-		// In-order issue with stores buffered in the ROB: the load must
-		// see the newest uncommitted store to its address.
-		v, hit := e.searchStores(addr)
-		if !hit {
-			mv, f := e.ctx.State.Mem.Read(addr)
-			if f != nil {
-				panic("reorder: unexpected fault after check: " + f.Error())
-			}
-			v = mv
-		}
-		return e.allocate(c, pc, ins, func(ent *robEntry) {
-			ent.value = v
-		}, completion{c + lat, -1})
-	case info.Store:
-		addr := exec.EffAddr(ins, vals[0])
-		if e.count == e.size {
-			return issue.StallEntry
-		}
-		if t := issue.MemTrap(e.ctx, pc, addr); t != nil {
-			return e.allocate(c, pc, ins, func(ent *robEntry) {
-				ent.done = true
-				ent.fault = t
-			})
-		}
-		data := vals[1]
-		return e.allocate(c, pc, ins, func(ent *robEntry) {
-			ent.isStore = true
-			ent.addr = addr
-			ent.data = data
-			ent.done = true // a store is "done" at issue; memory waits for commit
-		})
-	default:
-		if e.count == e.size {
-			return issue.StallEntry
-		}
-		lat := int64(e.ctx.Lat.Of(ins.Op))
-		if _, hasDst := ins.Dst(); hasDst {
-			if !e.ctx.Bus.Reserve(c + lat) {
-				return issue.StallBus
-			}
-		}
-		v := exec.ALU(ins, vals[0], vals[1])
-		return e.allocate(c, pc, ins, func(ent *robEntry) {
-			ent.value = v
-		}, completion{c + lat, -1})
-	}
-}
-
-// allocate appends a ROB entry at the tail. Completions with pos == -1
-// are fixed up to the allocated position.
-func (e *Engine) allocate(c int64, pc int, ins isa.Instruction, init func(*robEntry), comps ...completion) issue.StallReason {
 	if e.count == e.size {
 		return issue.StallEntry
 	}
+	lat := int64(e.ctx.Lat.Of(ins.Op))
+	if _, hasDst := ins.Dst(); hasDst && !e.ctx.Bus.Reserve(c+lat) {
+		return issue.StallBus
+	}
+	pos, ent := e.allocate(c, pc, ins)
+	info := ins.Op.Info()
+	if !info.Load && !info.Store {
+		ent.value = exec.ALU(ins, vals[0], vals[1])
+		e.pending = append(e.pending, completion{c + lat, pos})
+		return issue.StallNone
+	}
+	addr := exec.EffAddr(ins, vals[0])
+	if ent.fault = issue.MemTrap(e.ctx, pc, addr); ent.fault != nil {
+		e.doneAtIssue(c, ent)
+		return issue.StallNone
+	}
+	if info.Store {
+		// A store is "done" at issue; memory waits for commit.
+		ent.isStore, ent.addr, ent.data = true, addr, vals[1]
+		e.doneAtIssue(c, ent)
+		return issue.StallNone
+	}
+	// In-order issue with stores buffered in the ROB: the load must see
+	// the newest uncommitted store to its address.
+	v, hit := e.searchStores(addr)
+	if !hit {
+		mv, f := e.ctx.State.Mem.Read(addr)
+		if f != nil {
+			panic("reorder: unexpected fault after check: " + f.Error())
+		}
+		v = mv
+	}
+	ent.value = v
+	e.pending = append(e.pending, completion{c + lat, pos})
+	return issue.StallNone
+}
+
+// allocate builds a ROB entry in place at the tail of a buffer that is
+// not full, recording it as its destination's newest writer, and returns
+// its position. In-order issue sends the instruction straight to its
+// functional unit, so issue, dispatch and execute coincide.
+func (e *Engine) allocate(c int64, pc int, ins isa.Instruction) (int, *robEntry) {
 	pos := e.tail
-	ent := robEntry{used: true, id: e.ctx.DecodeID, pc: pc}
+	ent := &e.rob[pos]
+	*ent = robEntry{used: true, id: e.ctx.DecodeID, pc: pc}
 	if dst, ok := ins.Dst(); ok {
 		ent.hasDest = true
 		ent.dest = dst
@@ -320,28 +295,19 @@ func (e *Engine) allocate(c int64, pc int, ins isa.Instruction, init func(*robEn
 		e.lastWriter[f] = pos
 		e.ffFresh[f] = false // the newest writer has not completed yet
 	}
-	if init != nil {
-		init(&ent)
-	}
-	e.rob[pos] = ent
 	e.tail = (e.tail + 1) % e.size
 	e.count++
-	// In-order issue sends the instruction straight to its functional
-	// unit, so issue, dispatch and execute coincide.
 	e.ctx.Observe(obs.KindIssue, c, ent.id, ent.pc)
 	e.ctx.Observe(obs.KindDispatch, c, ent.id, ent.pc)
 	e.ctx.Observe(obs.KindExecute, c, ent.id, ent.pc)
-	if ent.done {
-		// Stores, NOPs and explicit traps are complete at issue.
-		e.ctx.Observe(obs.KindWriteback, c, ent.id, ent.pc)
-	}
-	for _, cp := range comps {
-		if cp.pos == -1 {
-			cp.pos = pos
-		}
-		e.pending = append(e.pending, cp)
-	}
-	return issue.StallNone
+	return pos, ent
+}
+
+// doneAtIssue completes an entry at issue: stores, NOPs, explicit traps
+// and faulting memory operations.
+func (e *Engine) doneAtIssue(c int64, ent *robEntry) {
+	ent.done = true
+	e.ctx.Observe(obs.KindWriteback, c, ent.id, ent.pc)
 }
 
 // searchStores scans the buffer from newest to oldest for an uncommitted

@@ -1,6 +1,7 @@
 package reorder_test
 
 import (
+	"strings"
 	"testing"
 
 	"ruu/internal/asm"
@@ -36,8 +37,16 @@ func TestNamesAndDefaults(t *testing.T) {
 	if reorder.New(reorder.ModeFuture, 4).Name() != "reorder-future" {
 		t.Error("future name")
 	}
-	if reorder.New(reorder.ModePlain, 0).Size() != 12 {
-		t.Error("default size")
+	// The default buffer holds 12 entries: a slow head plus 11 more
+	// issue without waiting for an entry, a 13th waits.
+	fill := func(n int) string {
+		return "    frecip S1, S2\n" + strings.Repeat("    lai A1, 1\n", n-1) + "    halt\n"
+	}
+	if res, _, _ := run(t, reorder.ModePlain, 0, fill(12)); res.Stats.Stalls[issue.StallEntry] != 0 {
+		t.Error("default size below 12")
+	}
+	if res, _, _ := run(t, reorder.ModePlain, 0, fill(13)); res.Stats.Stalls[issue.StallEntry] == 0 {
+		t.Error("default size above 12")
 	}
 	if reorder.Mode(9).String() != "mode?" {
 		t.Error("invalid mode string")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ruu/internal/asm"
-	"ruu/internal/core"
 	"ruu/internal/exec"
 	"ruu/internal/issue/tagunit"
 	"ruu/internal/livermore"
@@ -22,7 +21,7 @@ func TestExternalInterruptPreciseResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cycle := range []int64{0, 100, 5000} {
-		eng := core.New(core.Config{Size: 12})
+		eng := tagunit.New(tagunit.Config{Stations: tagunit.Queue(12)})
 		m := machine.New(eng, machine.Config{})
 		m.ScheduleExternal(cycle)
 		fired := 0
@@ -90,7 +89,7 @@ func TestExternalInterruptAfterCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.New(core.Config{Size: 4})
+	eng := tagunit.New(tagunit.Config{Stations: tagunit.Queue(4)})
 	m := machine.New(eng, machine.Config{})
 	m.ScheduleExternal(1 << 40)
 	st := exec.NewState(u.NewMemory())

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"ruu/internal/asm"
-	"ruu/internal/core"
 	"ruu/internal/exec"
+	"ruu/internal/issue/tagunit"
 	"ruu/internal/livermore"
 	"ruu/internal/machine"
 )
@@ -24,7 +24,7 @@ func TestKernelsFitInBuffers(t *testing.T) {
 		cfg.InstructionBuffers = true
 		cfg.IBufCount = 4
 		cfg.IBufParcels = 64 // the CRAY-1's buffer capacity
-		m := machine.New(core.New(core.Config{Size: 12}), cfg)
+		m := machine.New(tagunit.New(tagunit.Config{Stations: tagunit.Queue(12)}), cfg)
 		st, err := k.NewState()
 		if err != nil {
 			t.Fatal(err)
@@ -63,7 +63,7 @@ func TestBigLoopThrashesBuffers(t *testing.T) {
 	run := func(buffers bool) (int64, int64) {
 		cfg := machine.DefaultConfig()
 		cfg.InstructionBuffers = buffers
-		m := machine.New(core.New(core.Config{Size: 12}), cfg)
+		m := machine.New(tagunit.New(tagunit.Config{Stations: tagunit.Queue(12)}), cfg)
 		st := exec.NewState(u.NewMemory())
 		res, err := m.Run(u.Prog, st)
 		if err != nil {
@@ -103,7 +103,7 @@ func TestStraddlingInstructionFetch(t *testing.T) {
 	}
 	cfg := machine.DefaultConfig()
 	cfg.InstructionBuffers = true
-	m := machine.New(core.New(core.Config{Size: 8}), cfg)
+	m := machine.New(tagunit.New(tagunit.Config{Stations: tagunit.Queue(8)}), cfg)
 	st := exec.NewState(u.NewMemory())
 	res, err := m.Run(u.Prog, st)
 	if err != nil {

@@ -37,8 +37,9 @@ type Config struct {
 	LoadRegs int
 	// MaxCycles bounds a run (default 200M).
 	MaxCycles int64
-	// Speculate enables the §7 extension on engines that implement
-	// issue.Speculator: branch prediction plus conditional execution.
+	// Speculate enables the §7 extension on precise engines that
+	// implement issue.Speculator: branch prediction plus conditional
+	// execution.
 	Speculate bool
 	// PredictedTakenBubble is the fetch bubble after a predicted-taken
 	// branch in speculative mode (default 1).
@@ -286,8 +287,9 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 	}
 	m.eng.Reset(ctx)
 
+	// Only a precise engine can nullify a wrong path.
 	spec, _ := m.eng.(issue.Speculator)
-	speculating := m.cfg.Speculate && spec != nil
+	speculating := m.cfg.Speculate && spec != nil && m.eng.Precise()
 	var ib *ibufs
 	if m.cfg.InstructionBuffers {
 		ib = newIBufs(prog, m.cfg)

@@ -117,6 +117,12 @@ func TestValidationErrors(t *testing.T) {
 		{"unknown field", "/v1/simulate", map[string]any{"krenel": "LLL1"}, 400},
 		{"empty sizes", "/v1/sweep", map[string]any{"engine": "ruu"}, 422},
 		{"negative size", "/v1/sweep", map[string]any{"sizes": []int{3, -1}}, 422},
+		{"absurd ruu size", "/v1/simulate", map[string]any{"engine": "ruu", "entries": 1 << 60, "kernel": "LLL1"}, 422},
+		{"absurd rstu size", "/v1/simulate", map[string]any{"engine": "rstu", "entries": 1 << 60, "kernel": "LLL1"}, 422},
+		{"huge rstu size", "/v1/simulate", map[string]any{"engine": "rstu", "entries": 100_000_000, "kernel": "LLL1"}, 422},
+		{"huge tag unit", "/v1/simulate", map[string]any{"engine": "rspool", "tag_unit_size": 100_000_000, "kernel": "LLL1"}, 422},
+		{"huge paths", "/v1/simulate", map[string]any{"engine": "rstu", "paths": 100_000_000, "kernel": "LLL1"}, 422},
+		{"huge load regs", "/v1/simulate", map[string]any{"load_regs": 100_000_000, "kernel": "LLL1"}, 422},
 	}
 	for _, c := range cases {
 		rec := postJSON(t, s.Handler(), c.path, c.body)

@@ -26,7 +26,6 @@ import (
 	"io"
 
 	"ruu/internal/asm"
-	"ruu/internal/core"
 	"ruu/internal/exec"
 	"ruu/internal/issue"
 	"ruu/internal/issue/reorder"
@@ -208,8 +207,29 @@ type Config struct {
 	Machine MachineConfig
 }
 
+// MaxSize bounds each sizing setting of a Config — Entries,
+// TagUnitSize, Paths and Machine.LoadRegs. It is far above the paper's
+// largest configuration (a 50-entry RUU) and the 2048-entry window that
+// stands in for an unbounded RUU in the dataflow-limit comparisons, and
+// low enough that an absurd size is an error rather than an attempt to
+// allocate gigabytes.
+const MaxSize = 4096
+
 // NewEngine builds the configured issue engine.
 func NewEngine(cfg Config) (Engine, error) {
+	for _, s := range [...]struct {
+		name string
+		v    int
+	}{
+		{"entries", cfg.Entries},
+		{"tag unit size", cfg.TagUnitSize},
+		{"paths", cfg.Paths},
+		{"load registers", cfg.Machine.LoadRegs},
+	} {
+		if s.v > MaxSize {
+			return nil, fmt.Errorf("ruu: %s %d exceeds the maximum %d", s.name, s.v, MaxSize)
+		}
+	}
 	switch cfg.Engine {
 	case EngineSimple:
 		return simple.New(), nil
@@ -234,8 +254,8 @@ func NewEngine(cfg Config) (Engine, error) {
 	case EngineReorderFuture:
 		return reorder.New(reorder.ModeFuture, cfg.Entries), nil
 	case EngineRUU, "":
-		return core.New(core.Config{
-			Size:        cfg.Entries,
+		return tagunit.New(tagunit.Config{
+			Stations:    tagunit.Queue(cfg.Entries),
 			Bypass:      bypassOf(cfg.Bypass),
 			CounterBits: cfg.CounterBits,
 			CommitWidth: cfg.CommitWidth,
@@ -245,14 +265,14 @@ func NewEngine(cfg Config) (Engine, error) {
 	}
 }
 
-func bypassOf(b BypassKind) core.Bypass {
+func bypassOf(b BypassKind) tagunit.Bypass {
 	switch b {
 	case BypassNone:
-		return core.BypassNone
+		return tagunit.BypassNone
 	case BypassLimited:
-		return core.BypassLimited
+		return tagunit.BypassLimited
 	default:
-		return core.BypassFull
+		return tagunit.BypassFull
 	}
 }
 
