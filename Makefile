@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-smoke lint lint-timing lint-fix-check dfa analyze serve quickstart-http fabric-smoke
+.PHONY: all build test race vet bench bench-json bench-smoke lint lint-timing lint-fix-check dfa analyze serve quickstart-http
 
 all: build test vet lint analyze
 
@@ -85,18 +85,11 @@ serve:
 
 # quickstart-http exercises the ruuserve HTTP API end to end: the
 # client self-hosts the service on a loopback port, simulates a
-# program, runs an async sweep job, checks the cache-hit metrics, and
-# drains the server. CI runs this to cover the HTTP path.
+# program, posts a sweep of the Livermore suite as one /v1/batch (and
+# fails if any result line carries an error), checks the cache-hit
+# metrics, and drains the server. CI runs this to cover the HTTP path.
 quickstart-http:
 	$(GO) run ./examples/quickstart/client
-
-# fabric-smoke boots a two-worker sweep fabric (coordinator + workers,
-# all in-process on loopback ports), pushes a small /v1/batch through
-# it, and diffs the NDJSON stream byte-for-byte against a serial
-# reference server — including after killing one worker mid-run. CI
-# runs this to cover the distributed path end to end.
-fabric-smoke:
-	$(GO) run ./examples/quickstart/fabric
 
 # lint-fix-check is the CI fail-fast gate: formatting and lint findings
 # fail before the slower race/bench stages run. The timing summary

@@ -1,7 +1,8 @@
 // Command ruuserve exposes the simulator as an HTTP/JSON service:
-// synchronous single-program simulation, asynchronous sweep jobs over
-// the Livermore suite, health, and scheduler/cache metrics — all backed
-// by one worker pool and one content-addressed result cache.
+// single-program simulation, batches such as a sweep of the Livermore
+// suite over machine sizes, static analysis, health, and scheduler/cache
+// metrics — all backed by one worker pool and one content-addressed
+// result cache.
 //
 // Usage:
 //
@@ -10,25 +11,16 @@
 //	ruuserve -cachesize 0            # default cache; negative disables
 //	ruuserve -debug-addr :6060      # pprof on a separate admin listener
 //	ruuserve -store-dir /var/ruu    # persistent result store (warm restarts)
-//	ruuserve -coordinator http://w1:8093,http://w2:8093
-//	                                 # fabric coordinator over two workers
 //
 // With -store-dir, completed results are written through to a
 // disk-backed content-addressed store and survive restarts: a
 // redeployed server answers its previous working set from disk.
 //
-// With -coordinator, this instance routes POST /v1/batch items to the
-// listed workers by consistent-hash job key (retrying on a different
-// worker on connect/5xx failure, health-checking members in and out of
-// the ring); other endpoints still run on the local pool.
-//
 // Endpoints (see docs/SERVICE.md for the full reference):
 //
 //	POST   /v1/simulate   run one program (inline asm or built-in kernel)
 //	POST   /v1/batch      run many programs, results streamed as NDJSON
-//	POST   /v1/sweep      start an async entry-count sweep job
-//	GET    /v1/jobs/{id}  poll a sweep job
-//	DELETE /v1/jobs/{id}  cancel a sweep job
+//	POST   /v1/analyze    static pre-screen of one program, no simulation
 //	GET    /v1/trace      recent job spans as a Chrome trace document
 //	GET    /healthz       liveness, draining state, and build info
 //	GET    /metrics       JSON by default; Prometheus text with Accept: text/plain
@@ -37,8 +29,8 @@
 // /debug/pprof/ — an admin-only listener, never the public API mux.
 //
 // On SIGINT/SIGTERM the server drains gracefully: new POSTs get 503
-// with Retry-After, in-flight requests and jobs run to completion,
-// then the process exits.
+// with Retry-After, in-flight requests (streaming batches included) run
+// to completion, then the process exits.
 package main
 
 import (
@@ -52,12 +44,10 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	"ruu"
-	"ruu/internal/fabric"
 	"ruu/internal/server"
 	"ruu/internal/store"
 )
@@ -72,14 +62,11 @@ func main() {
 		cachesize = flag.Int("cachesize", ruu.DefaultCacheEntries, "result-cache capacity in entries (0 = default, negative = disabled)")
 		maxBody   = flag.Int64("max-body", server.DefaultMaxRequestBytes, "request body size limit in bytes")
 		timeout   = flag.Duration("timeout", server.DefaultRequestTimeout, "per-request simulation deadline")
-		maxJobs   = flag.Int("max-jobs", server.DefaultMaxActiveJobs, "max queued+running sweep jobs before 429 (negative = unlimited)")
 		drainFor  = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		logJobs   = flag.Bool("log-jobs", false, "log one line per finished scheduler job (debug level)")
 
 		storeDir      = flag.String("store-dir", "", "directory of the persistent result store (empty = memory only)")
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "persistent-store byte bound (0 = 1 GiB default, negative = unbounded)")
-		coordinator   = flag.String("coordinator", "", "comma-separated worker base URLs; non-empty runs this instance as the fabric coordinator")
-		healthEvery   = flag.Duration("health-interval", 2*time.Second, "fabric worker health-check period (coordinator mode)")
 	)
 	flag.Parse()
 
@@ -100,24 +87,6 @@ func main() {
 		log.Printf("persistent store at %s (%d entries warm)", *storeDir, st.Stats().Entries)
 	}
 
-	var coord *fabric.Coordinator
-	if *coordinator != "" {
-		workerURLs := strings.Split(*coordinator, ",")
-		for i := range workerURLs {
-			workerURLs[i] = strings.TrimSuffix(strings.TrimSpace(workerURLs[i]), "/")
-		}
-		var err error
-		coord, err = fabric.New(fabric.Config{
-			Workers:        workerURLs,
-			HealthInterval: *healthEvery,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer coord.Close()
-		log.Printf("coordinator over %d workers: %s", len(workerURLs), *coordinator)
-	}
-
 	runner := ruu.NewRunner(ruu.RunnerConfig{Workers: *workers, CacheEntries: *cachesize, Store: st})
 	defer runner.Close()
 
@@ -125,9 +94,7 @@ func main() {
 		Runner:          runner,
 		MaxRequestBytes: *maxBody,
 		RequestTimeout:  *timeout,
-		MaxActiveJobs:   *maxJobs,
 		Store:           st,
-		Fabric:          coord,
 		Log:             logger,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -163,16 +130,13 @@ func main() {
 	}
 
 	// Graceful shutdown: refuse new work, let in-flight HTTP requests
-	// and async sweep jobs finish, then stop the pool.
+	// (streaming batches included) finish, then stop the pool.
 	log.Printf("draining (budget %v)...", *drainFor)
 	srv.StartDrain()
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainFor)
 	defer cancel()
 	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("http shutdown: %v", err)
-	}
-	if err := srv.Drain(drainCtx); err != nil {
-		log.Printf("job drain: %v", err)
 	}
 	log.Print("drained")
 }

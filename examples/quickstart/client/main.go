@@ -1,6 +1,6 @@
 // Quickstart for the simulation service: drive the ruuserve HTTP API
-// end to end — simulate a program, run an asynchronous sweep job, poll
-// it, and read the scheduler/cache metrics.
+// end to end — simulate a program, run a sweep of the Livermore suite
+// as one streamed batch, and read the scheduler/cache metrics.
 //
 // By default the example is self-contained: it starts the service
 // in-process on a loopback port, exercises it over real HTTP, and
@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"ruu"
+	"ruu/internal/livermore"
 	"ruu/internal/server"
 
 	"flag"
@@ -92,29 +93,31 @@ func main() {
 	}, &sim)
 	fmt.Printf("resubmit: cycles=%d (elapsed %dms)\n", sim.Outcome.Cycles, sim.ElapsedMS)
 
-	// 3. Asynchronous sweep job over the Livermore suite: 202 + poll.
-	var job struct {
-		ID    string           `json:"id"`
-		State string           `json:"state"`
-		URL   string           `json:"url"`
-		Rows  []ruu.SpeedupRow `json:"rows"`
-		Error string           `json:"error"`
+	// 3. A sweep (the shape of Tables 2-7) is one batch: the 14
+	// kernels on the simple-issue baseline, then at each RSTU size.
+	// The result lines stream back in item order; any error line fails.
+	sizes := []int{3, 6, 10}
+	kernels := livermore.Kernels()
+	var items []map[string]any
+	for _, n := range append([]int{0}, sizes...) {
+		for _, k := range kernels {
+			item := map[string]any{"engine": "rstu", "entries": n, "kernel": k.Name}
+			if n == 0 {
+				item = map[string]any{"engine": "simple", "kernel": k.Name}
+			}
+			items = append(items, item)
+		}
 	}
-	postJSON(client, base+"/v1/sweep", map[string]any{
-		"engine": "rstu",
-		"sizes":  []int{3, 6, 10},
-	}, &job)
-	fmt.Printf("sweep: %s %s\n", job.ID, job.State)
-	for job.State == "queued" || job.State == "running" {
-		time.Sleep(50 * time.Millisecond)
-		getJSON(client, base+job.URL, &job)
-	}
-	if job.State != "done" {
-		log.Fatalf("sweep job ended %s: %s", job.State, job.Error)
-	}
-	for _, r := range job.Rows {
-		fmt.Printf("  entries=%-3d speedup=%.3f issue-rate=%.3f (dataflow limit %.3f)\n",
-			r.Entries, r.Speedup, r.IssueRate, r.Limit)
+	cycles := make([]int64, 1+len(sizes))
+	instrs := make([]int64, 1+len(sizes))
+	postBatch(client, base+"/v1/batch", items, func(index int, out ruu.SimOutcome) {
+		cycles[index/len(kernels)] += out.Cycles
+		instrs[index/len(kernels)] += out.Instructions
+	})
+	fmt.Printf("sweep: %d items in one batch\n", len(items))
+	for i, n := range sizes {
+		fmt.Printf("  entries=%-3d speedup=%.3f issue-rate=%.3f\n",
+			n, float64(cycles[0])/float64(cycles[i+1]), float64(instrs[i+1])/float64(cycles[i+1]))
 	}
 
 	// 4. Metrics: scheduler depth, cache hit rate, latency histograms.
@@ -159,9 +162,6 @@ func selfHost() (string, func()) {
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			log.Printf("shutdown: %v", err)
 		}
-		if err := srv.Drain(ctx); err != nil {
-			log.Printf("drain: %v", err)
-		}
 		runner.Close()
 		log.Print("drained and stopped")
 	}
@@ -177,6 +177,49 @@ func postJSON(c *http.Client, url string, body, out any) {
 		log.Fatal(err)
 	}
 	decode(resp, out, url)
+}
+
+// postBatch posts a /v1/batch and hands each verified outcome to line
+// as it streams in, failing on an error line, an unverified outcome or
+// a missing line.
+func postBatch(c *http.Client, url string, items []map[string]any, line func(int, ruu.SimOutcome)) {
+	b, err := json.Marshal(map[string]any{"items": items})
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp, err := c.Post(url, "application/json", bytes.NewReader(b))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		log.Fatalf("%s: HTTP %d: %s", url, resp.StatusCode, raw)
+	}
+	dec := json.NewDecoder(resp.Body)
+	n := 0
+	for {
+		var ln struct {
+			Index   int             `json:"index"`
+			Outcome *ruu.SimOutcome `json:"outcome"`
+			Error   string          `json:"error"`
+		}
+		err := dec.Decode(&ln)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			log.Fatalf("%s: line %d: %v", url, n, err)
+		}
+		if ln.Error != "" || ln.Outcome == nil || !ln.Outcome.Verified {
+			log.Fatalf("%s: item %d failed (unverified or error %q)", url, ln.Index, ln.Error)
+		}
+		line(ln.Index, *ln.Outcome)
+		n++
+	}
+	if n != len(items) {
+		log.Fatalf("%s: %d lines for %d items", url, n, len(items))
+	}
 }
 
 func getJSON(c *http.Client, url string, out any) {

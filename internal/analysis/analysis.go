@@ -36,8 +36,7 @@
 //     drifted or restated magic numbers.
 //
 // Four cover the concurrent service layer (internal/sched,
-// internal/server, internal/obs, cmd/ruuserve), where the distributed
-// sweep fabric will grow:
+// internal/server, internal/obs, internal/store, cmd/ruuserve):
 //
 //   - mutexguard: inferred and annotated guarded-by relations for
 //     mutex-bearing structs; no unguarded access, lock copying, or

@@ -23,21 +23,17 @@ var SimPackages = []string{
 
 // ServicePackages lists the concurrent service-layer packages
 // (relative to the module path): the worker pool, the HTTP API, the
-// metrics registry, the serving binary, and the distributed sweep
-// fabric (the persistent result store and the consistent-hash
-// coordinator). The mutexguard, ctxflow, and goroutineleak passes run
-// over these — the layer where a concurrency bug multiplies across
-// shards instead of staying a local curiosity. internal/store and
-// internal/fabric are deliberately NOT in SimPackages: the store does
-// wall-clock-free disk I/O, and the coordinator legitimately uses
-// timers, jittered backoff, and health-check tickers — none of which
-// can influence simulation results, which stay content-addressed.
+// metrics registry, the persistent result store, and the serving
+// binary. The mutexguard, ctxflow, and goroutineleak passes run over
+// these — the layer where a concurrency bug reaches every request
+// instead of staying a local curiosity. internal/store is deliberately
+// NOT in SimPackages: it does wall-clock-free disk I/O that cannot
+// influence simulation results, which stay content-addressed.
 var ServicePackages = []string{
 	"internal/sched",
 	"internal/server",
 	"internal/obs",
 	"internal/store",
-	"internal/fabric",
 	"cmd/ruuserve",
 }
 

@@ -10,8 +10,7 @@ import (
 // given import-path prefixes (the service packages).
 //
 // A leaked goroutine in a server is a slow resource exhaustion that no
-// single test run observes; before the sweep fabric multiplies every
-// spawn site across shards, each go statement must carry visible
+// single test run observes, so each go statement must carry visible
 // evidence that it terminates:
 //
 //   - registration with a tracked sync.WaitGroup (a Done call in the

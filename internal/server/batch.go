@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"ruu"
-	"ruu/internal/fabric"
 	"ruu/internal/livermore"
 	"ruu/internal/obs"
 )
@@ -22,8 +21,8 @@ import (
 // awaited, workers complete in whatever order they like, and the
 // stream still renders item i's line before item i+1's — so a batch's
 // body is byte-identical run to run, cold cache or warm, one worker or
-// many. In coordinator mode the same handler forwards each item to the
-// fabric worker owning its job key instead of simulating locally.
+// many. A sweep is one batch: the kernels × machine sizes, one item
+// each.
 //
 // Admission control sheds whole batches: a request whose items would
 // push the global or per-client in-flight count past its cap is
@@ -73,7 +72,6 @@ type batchJob struct {
 	cfg    ruu.Config
 	unit   *ruu.Unit
 	verify bool
-	item   batchItem
 }
 
 // clientKey identifies the client for the per-client in-flight cap:
@@ -150,7 +148,6 @@ func buildBatchJob(it batchItem) (batchJob, error) {
 		cfg:    cfg,
 		unit:   unit,
 		verify: it.Verify == nil || *it.Verify,
-		item:   it,
 	}, nil
 }
 
@@ -193,19 +190,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx := obs.WithJobName(r.Context(), "batch")
 
-	// Submit every item before awaiting any: the pool (or the fabric)
-	// runs them concurrently while the stream below consumes results
-	// strictly in index order.
+	// Submit every item before awaiting any: the pool runs them
+	// concurrently while the stream below consumes results strictly in
+	// index order.
 	waits := make([]func(context.Context) (ruu.SimOutcome, error), len(jobs))
 	var submitErr error
 	for i, j := range jobs {
-		if submitErr != nil {
-			break
-		}
-		if s.fabric != nil {
-			waits[i] = s.submitFabric(ctx, j)
-			continue
-		}
 		wait, err := s.runner.SubmitProgram(ctx, j.cfg, j.unit, j.verify)
 		if err != nil {
 			// The pool refused (cancelled/closed): items from here on
@@ -239,71 +229,5 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-}
-
-// submitFabric enqueues one batch item as a pool job that forwards the
-// item to the fabric worker owning its key, and returns the wait
-// function. The pool provides the concurrency (its workers block on
-// the HTTP round trip instead of simulating) and its cache/store layer
-// keeps fabric answers content-addressed on the coordinator too.
-func (s *Server) submitFabric(ctx context.Context, j batchJob) func(context.Context) (ruu.SimOutcome, error) {
-	key := ruu.ProgramKey(j.cfg, j.unit, j.verify)
-	body, err := json.Marshal(simulateRequest{
-		machineRequest: j.item.machineRequest,
-		Asm:            j.item.Asm,
-		Kernel:         j.item.Kernel,
-		Verify:         j.item.Verify,
-	})
-	if err != nil {
-		return func(context.Context) (ruu.SimOutcome, error) {
-			return ruu.SimOutcome{}, err
-		}
-	}
-	run := func(ctx context.Context) (any, error) {
-		res, err := s.fabric.Do(ctx, fabric.Key(key), "/v1/simulate", body)
-		if err != nil {
-			return nil, err
-		}
-		if res.Status != http.StatusOK {
-			var apiErr apiError
-			if json.Unmarshal(res.Body, &apiErr) == nil && apiErr.Error != "" {
-				// Surface the worker's own error text (a verify
-				// mismatch reads the same whether simulated locally or
-				// remotely).
-				return nil, errors.New(apiErr.Error)
-			}
-			return nil, fmt.Errorf("worker %s: status %d", res.Worker, res.Status)
-		}
-		var sr simulateResponse
-		if err := json.Unmarshal(res.Body, &sr); err != nil {
-			return nil, fmt.Errorf("worker %s: bad response: %v", res.Worker, err)
-		}
-		// Only the outcome survives — elapsed_ms is the worker's wall
-		// clock and must not leak into the deterministic stream.
-		return sr.Outcome, nil
-	}
-	p := s.runner.Pool()
-	if p == nil {
-		return func(ctx context.Context) (ruu.SimOutcome, error) {
-			v, err := run(ctx)
-			if err != nil {
-				return ruu.SimOutcome{}, err
-			}
-			return v.(ruu.SimOutcome), nil
-		}
-	}
-	t, err := p.Submit(ctx, key, run)
-	if err != nil {
-		return func(context.Context) (ruu.SimOutcome, error) {
-			return ruu.SimOutcome{}, err
-		}
-	}
-	return func(ctx context.Context) (ruu.SimOutcome, error) {
-		v, err := t.Wait(ctx)
-		if err != nil {
-			return ruu.SimOutcome{}, err
-		}
-		return v.(ruu.SimOutcome), nil
 	}
 }

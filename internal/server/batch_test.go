@@ -9,10 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"ruu"
-	"ruu/internal/fabric"
 	"ruu/internal/store"
 )
 
@@ -111,126 +109,6 @@ func TestBatchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// startWorkerFleet boots n independent worker servers (each its own
-// pool and cache) on real listeners and returns their base URLs.
-func startWorkerFleet(t *testing.T, n int) []string {
-	t.Helper()
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		r := ruu.NewRunner(ruu.RunnerConfig{Workers: 2})
-		t.Cleanup(r.Close)
-		ws := httptest.NewServer(New(Config{Runner: r}).Handler())
-		t.Cleanup(ws.Close)
-		urls[i] = ws.URL
-	}
-	return urls
-}
-
-// TestBatchFabricMatchesSerial is the cross-wire golden test: a
-// 3-worker fabric behind a coordinator must produce a /v1/batch body
-// byte-identical to the serial library path.
-func TestBatchFabricMatchesSerial(t *testing.T) {
-	urls := startWorkerFleet(t, 3)
-	// The prober runs against the workers' real handlers, so a default
-	// HealthPath that the server doesn't actually route would eject the
-	// whole (healthy) fleet and fail the scrape assertions below.
-	coord, err := fabric.New(fabric.Config{Workers: urls,
-		HealthInterval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-	coordinator := newTestServer(t, Config{Fabric: coord})
-	serial := newTestServer(t, Config{Runner: &ruu.Runner{}})
-
-	want := postJSON(t, serial.Handler(), "/v1/batch", batchBody())
-	got := postJSON(t, coordinator.Handler(), "/v1/batch", batchBody())
-	if want.Code != http.StatusOK || got.Code != http.StatusOK {
-		t.Fatalf("status %d / %d: %s", want.Code, got.Code, got.Body)
-	}
-	if !bytes.Equal(want.Body.Bytes(), got.Body.Bytes()) {
-		t.Fatalf("fabric batch differs from serial:\n--- serial\n%s--- fabric\n%s",
-			want.Body, got.Body)
-	}
-	if routed := coord.Stats().Routed; routed == 0 {
-		t.Fatal("coordinator routed nothing — batch ran locally?")
-	}
-
-	// The coordinator's scrape shows the fleet healthy and the routing
-	// counters live — after enough probe sweeps that a liveness-path
-	// mismatch would have emptied the ring.
-	time.Sleep(25 * time.Millisecond)
-	body := scrapePrometheus(t, coordinator.Handler())
-	for _, u := range urls {
-		want := `ruu_fabric_worker_healthy{worker="` + u + `"} 1`
-		if !strings.Contains(body, want) {
-			t.Errorf("scrape missing %q", want)
-		}
-	}
-	if !strings.Contains(body, "ruu_fabric_routed_total") {
-		t.Error("scrape missing ruu_fabric_routed_total")
-	}
-}
-
-// TestBatchFabricSurvivesWorkerLoss: killing one of three workers
-// mid-fleet must not change the stream — retries land the orphaned
-// keys on survivors.
-func TestBatchFabricSurvivesWorkerLoss(t *testing.T) {
-	urls := startWorkerFleet(t, 2)
-	// A third worker that is already dead: connect failures on every
-	// key it owns.
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close()
-	coord, err := fabric.New(fabric.Config{
-		Workers:     append(urls, dead.URL),
-		BackoffBase: time.Millisecond,
-		BackoffCap:  5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-	coordinator := newTestServer(t, Config{Fabric: coord})
-	serial := newTestServer(t, Config{Runner: &ruu.Runner{}})
-
-	want := postJSON(t, serial.Handler(), "/v1/batch", batchBody())
-	got := postJSON(t, coordinator.Handler(), "/v1/batch", batchBody())
-	if got.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", got.Code, got.Body)
-	}
-	if !bytes.Equal(want.Body.Bytes(), got.Body.Bytes()) {
-		t.Fatalf("degraded fabric differs from serial:\n--- serial\n%s--- fabric\n%s",
-			want.Body, got.Body)
-	}
-}
-
-// TestBatchFabricAllWorkersDown: the stream still answers, with error
-// lines, when no worker is reachable.
-func TestBatchFabricAllWorkersDown(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close()
-	coord, err := fabric.New(fabric.Config{
-		Workers:     []string{dead.URL},
-		BackoffBase: time.Millisecond,
-		BackoffCap:  2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-	s := newTestServer(t, Config{Fabric: coord})
-	rec := postJSON(t, s.Handler(), "/v1/batch", map[string]any{
-		"items": []map[string]any{{"kernel": "LLL1"}},
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	lines := parseNDJSON(t, rec.Body.Bytes())
-	if len(lines) != 1 || lines[0].Error == "" {
-		t.Fatalf("want one error line, got %+v", lines)
-	}
-}
-
 func TestBatchValidation(t *testing.T) {
 	s := newTestServer(t, Config{MaxBatchItems: 3})
 	h := s.Handler()
@@ -298,8 +176,8 @@ func TestBatchAdmissionSheds429(t *testing.T) {
 		t.Fatalf("slots leaked: %d in flight after completion", inFlight)
 	}
 	// The shed shows up on the scrape.
-	if body := scrapePrometheus(t, h); !strings.Contains(body, "ruu_fabric_shed_total 1") {
-		t.Error("scrape missing ruu_fabric_shed_total 1")
+	if body := scrapePrometheus(t, h); !strings.Contains(body, "ruu_batch_shed_total 1") {
+		t.Error("scrape missing ruu_batch_shed_total 1")
 	}
 }
 

@@ -52,18 +52,15 @@ func ReadBuildInfo() BuildInfo {
 }
 
 // routeLabel maps a request to a bounded route label for the
-// ruu_http_requests_total metric; unknown paths collapse into "other"
-// so scraping an abusive client cannot grow the label space.
-func routeLabel(r *http.Request) string {
-	p := r.URL.Path
-	switch {
-	case strings.HasPrefix(p, "/v1/jobs/"):
-		p = "/v1/jobs/{id}"
-	case p == "/v1/simulate", p == "/v1/analyze", p == "/v1/batch", p == "/v1/sweep", p == "/healthz", p == "/metrics":
-	default:
-		p = "other"
+// ruu_http_requests_total metric: the mux pattern that served it, so
+// the route table is written once, in New. Requests no pattern matches
+// collapse into "METHOD other", so an abusive client cannot grow the
+// label space.
+func (s *Server) routeLabel(r *http.Request) string {
+	if _, pattern := s.mux.Handler(r); pattern != "" {
+		return pattern
 	}
-	return r.Method + " " + p
+	return r.Method + " other"
 }
 
 // statusRecorder captures the response status for the access log and
@@ -105,7 +102,7 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 		// process; no simulation ever sees it. //ruulint:ok simdeterminism
 		start := time.Now()
 		next.ServeHTTP(sr, r)
-		route := routeLabel(r)
+		route := s.routeLabel(r)
 		s.countRequest(route, sr.status)
 		if s.log != nil {
 			// Same telemetry clock as above.
@@ -209,26 +206,6 @@ func (s *Server) wireMetrics(build BuildInfo) {
 			}
 			return 0
 		})
-	reg.CollectFunc("ruu_sweep_jobs",
-		"Asynchronous sweep jobs by state.",
-		"gauge", func() []obs.Point {
-			s.mu.Lock()
-			byState := map[string]int{}
-			for _, j := range s.jobs {
-				byState[j.state]++
-			}
-			s.mu.Unlock()
-			states := []string{"queued", "running", "done", "failed", "cancelled"}
-			points := make([]obs.Point, 0, len(states))
-			for _, st := range states {
-				points = append(points, obs.Point{
-					Labels: []obs.Label{{Name: "state", Value: st}},
-					Value:  float64(byState[st]),
-				})
-			}
-			return points
-		})
-
 	pool := s.runner.Pool()
 	if pool != nil {
 		reg.GaugeFunc("ruu_sched_workers",
@@ -301,50 +278,9 @@ func (s *Server) wireMetrics(build BuildInfo) {
 			func() float64 { return float64(s.store.Stats().Bytes) })
 	}
 
-	reg.CounterFunc("ruu_fabric_routed_total",
-		"Batch items routed across the sweep fabric (0 off coordinator).",
-		func() float64 {
-			if s.fabric == nil {
-				return 0
-			}
-			return float64(s.fabric.Stats().Routed)
-		})
-	reg.CounterFunc("ruu_fabric_retried_total",
-		"Fabric attempts beyond each request's first (connect/5xx retry).",
-		func() float64 {
-			if s.fabric == nil {
-				return 0
-			}
-			return float64(s.fabric.Stats().Retried)
-		})
-	reg.CounterFunc("ruu_fabric_shed_total",
+	reg.CounterFunc("ruu_batch_shed_total",
 		"Batches shed 429 by admission control.",
 		func() float64 { return float64(s.batchShed.Load()) })
-	reg.CollectFunc("ruu_fabric_worker_healthy",
-		"1 per fabric worker currently in the ring, 0 when ejected.",
-		"gauge", func() []obs.Point {
-			if s.fabric == nil {
-				return nil
-			}
-			workers := s.fabric.Workers()
-			names := make([]string, 0, len(workers))
-			for w := range workers {
-				names = append(names, w)
-			}
-			sort.Strings(names)
-			points := make([]obs.Point, 0, len(names))
-			for _, w := range names {
-				v := 0.0
-				if workers[w] {
-					v = 1
-				}
-				points = append(points, obs.Point{
-					Labels: []obs.Label{{Name: "worker", Value: w}},
-					Value:  v,
-				})
-			}
-			return points
-		})
 
 	reg.CounterFunc("ruu_analyze_reject_total",
 		"Programs rejected by the POST /v1/analyze static pre-screen "+

@@ -85,11 +85,7 @@ func TestPrometheusMetricsEndpoint(t *testing.T) {
 		"ruu_sim_cycles_total",
 		"ruu_sim_instructions_total",
 		"ruu_draining 0",
-		"ruu_sweep_jobs{state=\"done\"}",
-		"ruu_fabric_routed_total 0",
-		"ruu_fabric_retried_total 0",
-		"ruu_fabric_shed_total 0",
-		"# TYPE ruu_fabric_worker_healthy gauge",
+		"ruu_batch_shed_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)
@@ -99,6 +95,31 @@ func TestPrometheusMetricsEndpoint(t *testing.T) {
 	plain := get(t, h, "/metrics")
 	if ct := plain.Header().Get("Content-Type"); ct != "application/json" {
 		t.Errorf("default /metrics Content-Type = %q, want application/json", ct)
+	}
+}
+
+// TestRouteLabelsFromMux: every routed endpoint is labelled with its
+// mux pattern, and a request no pattern serves (an unknown path, or a
+// known path with the wrong method) with "METHOD other".
+func TestRouteLabelsFromMux(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	get(t, h, "/v1/trace")
+	get(t, h, "/healthz")
+	if rec := get(t, h, "/v1/simulate"); rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/simulate = %d, want 405", rec.Code)
+	}
+	get(t, h, "/no/such/path")
+	body := scrapePrometheus(t, h)
+	for _, want := range []string{
+		`ruu_http_requests_total{route="GET /v1/trace",code="200"} 1`,
+		`ruu_http_requests_total{route="GET /healthz",code="200"} 1`,
+		`ruu_http_requests_total{route="GET other",code="405"} 1`,
+		`ruu_http_requests_total{route="GET other",code="404"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("scrape missing %q", want)
+		}
 	}
 }
 
@@ -165,36 +186,44 @@ func TestHealthzBuildInfo(t *testing.T) {
 func TestDrainingSetsRetryAfter(t *testing.T) {
 	s := newTestServer(t, Config{})
 	s.StartDrain()
-	rec := postJSON(t, s.Handler(), "/v1/sweep",
-		map[string]any{"sizes": []int{4}})
+	rec := postJSON(t, s.Handler(), "/v1/batch",
+		map[string]any{"items": []map[string]any{{"kernel": "LLL1"}}})
 	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("draining sweep = %d", rec.Code)
+		t.Fatalf("draining batch = %d", rec.Code)
 	}
 	if got := rec.Header().Get("Retry-After"); got != strconv.Itoa(RetryAfterSeconds) {
 		t.Errorf("Retry-After = %q, want %d", got, RetryAfterSeconds)
 	}
 }
 
+// TestQueueFullIs429WithRetryAfter: a negative in-flight cap admits a
+// batch however many items other requests hold; with the cap held, the
+// next batch is shed 429 with a Retry-After hint and reserves nothing.
 func TestQueueFullIs429WithRetryAfter(t *testing.T) {
-	s := newTestServer(t, Config{MaxActiveJobs: -1})
-	h := s.Handler()
-	// With the cap disabled, submissions are unbounded.
-	rec := postJSON(t, h, "/v1/sweep", map[string]any{"sizes": []int{2}})
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("uncapped sweep = %d: %s", rec.Code, rec.Body.String())
+	one := map[string]any{"items": []map[string]any{{"kernel": "LLL1"}}}
+	s := newTestServer(t, Config{MaxBatchInFlight: -1})
+	s.mu.Lock()
+	s.batchInFlight = DefaultMaxBatchInFlight // held by other requests
+	s.mu.Unlock()
+	if rec := postJSON(t, s.Handler(), "/v1/batch", one); rec.Code != http.StatusOK {
+		t.Fatalf("uncapped batch = %d: %s", rec.Code, rec.Body.String())
 	}
 
-	// Cap of 1: a job pinned in "queued" state blocks the next POST.
-	s2 := newTestServer(t, Config{MaxActiveJobs: 1})
+	s2 := newTestServer(t, Config{MaxBatchInFlight: 1})
 	s2.mu.Lock()
-	s2.jobs["job-held"] = &jobEntry{id: "job-held", state: "running",
-		cancel: func() {}, done: make(chan struct{})}
+	s2.batchInFlight = 1
 	s2.mu.Unlock()
-	rec2 := postJSON(t, s2.Handler(), "/v1/sweep", map[string]any{"sizes": []int{2}})
+	rec2 := postJSON(t, s2.Handler(), "/v1/batch", one)
 	if rec2.Code != http.StatusTooManyRequests {
-		t.Fatalf("capped sweep = %d: %s", rec2.Code, rec2.Body.String())
+		t.Fatalf("capped batch = %d: %s", rec2.Code, rec2.Body.String())
 	}
 	if got := rec2.Header().Get("Retry-After"); got != strconv.Itoa(RetryAfterSeconds) {
 		t.Errorf("Retry-After = %q, want %d", got, RetryAfterSeconds)
+	}
+	s2.mu.Lock()
+	held := s2.batchInFlight
+	s2.mu.Unlock()
+	if held != 1 {
+		t.Errorf("shed batch changed the in-flight count to %d", held)
 	}
 }

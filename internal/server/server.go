@@ -1,9 +1,9 @@
 // Package server implements the ruuserve HTTP/JSON API: simulation as a
-// service over the ruu.Runner scheduler. Synchronous single-program
-// simulation (POST /v1/simulate) and asynchronous sweep jobs
-// (POST /v1/sweep + GET /v1/jobs/{id}) share one worker pool and one
-// content-addressed result cache, so identical submissions are answered
-// without re-simulating.
+// service over the ruu.Runner scheduler. Single-program simulation
+// (POST /v1/simulate) and bulk runs such as a sweep of the Livermore
+// suite over machine sizes (POST /v1/batch) share one worker pool and
+// one content-addressed result cache, so identical submissions are
+// answered without re-simulating.
 //
 // The package is one of the two places in the module where goroutines
 // are allowed (the other is internal/sched); the ruulint simdeterminism
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -27,7 +28,6 @@ import (
 
 	"ruu"
 	"ruu/internal/asm"
-	"ruu/internal/fabric"
 	"ruu/internal/livermore"
 	"ruu/internal/obs"
 	"ruu/internal/store"
@@ -40,12 +40,7 @@ const (
 	DefaultMaxRequestBytes = 1 << 20
 	// DefaultRequestTimeout bounds a synchronous simulation.
 	DefaultRequestTimeout = 60 * time.Second
-	// DefaultMaxSweepSizes bounds the entry-count list of one sweep job.
-	DefaultMaxSweepSizes = 64
-	// DefaultMaxActiveJobs bounds concurrently live (queued + running)
-	// sweep jobs; beyond it POST /v1/sweep answers 429.
-	DefaultMaxActiveJobs = 32
-	// RetryAfterSeconds is the Retry-After hint on 429 (queue full) and
+	// RetryAfterSeconds is the Retry-After hint on 429 (batch shed) and
 	// 503 (draining) responses.
 	RetryAfterSeconds = 5
 	// StatusClientClosedRequest is the (nginx-convention) status
@@ -66,19 +61,10 @@ type Config struct {
 	// POST /v1/simulate (default DefaultRequestTimeout). A request's
 	// timeout_ms field may shorten it, never extend it.
 	RequestTimeout time.Duration
-	// MaxActiveJobs bounds concurrently live (queued + running) sweep
-	// jobs (default DefaultMaxActiveJobs; negative disables the cap).
-	// A full server answers POST /v1/sweep with 429 + Retry-After.
-	MaxActiveJobs int
 	// Store, when non-nil, is the persistent result store layered
 	// under the Runner's cache; the server only exports its counters
 	// (the Runner is wired to it by the caller).
 	Store *store.Store
-	// Fabric, when non-nil, puts the server in coordinator mode:
-	// POST /v1/batch items are forwarded to the fabric worker owning
-	// each job key instead of simulating locally. Other endpoints keep
-	// running on the local pool.
-	Fabric *fabric.Coordinator
 	// MaxBatchItems bounds the items of one POST /v1/batch (default
 	// DefaultMaxBatchItems; negative disables the cap).
 	MaxBatchItems int
@@ -94,28 +80,24 @@ type Config struct {
 }
 
 // Server is the ruuserve HTTP API. Create with New, serve via Handler,
-// stop with StartDrain + Drain (see cmd/ruuserve for the full graceful
-// shutdown sequence).
+// stop with StartDrain before http.Server.Shutdown (see cmd/ruuserve for
+// the full graceful shutdown sequence).
 type Server struct {
 	runner          *ruu.Runner
 	mux             *http.ServeMux
 	maxRequestBytes int64
 	requestTimeout  time.Duration
-	maxActiveJobs   int
 	log             *slog.Logger
 	reg             *obs.Registry
 	spans           *obs.SpanRecorder
 	build           BuildInfo
 
 	store             *store.Store
-	fabric            *fabric.Coordinator
 	maxBatchItems     int
 	maxBatchInFlight  int
 	maxClientInFlight int
 
 	mu             sync.Mutex
-	jobs           map[string]*jobEntry
-	nextJob        int
 	draining       bool
 	latency        map[string]*obs.Hist // per-engine wall-clock ms histograms
 	httpReqs       map[string]int64     // "route\x00code" -> request count
@@ -131,19 +113,6 @@ type Server struct {
 	simWallMS       atomic.Int64
 	analyzeRejects  atomic.Int64 // programs 422-rejected by the static pre-screen
 	batchShed       atomic.Int64 // batches 429-shed by admission control
-
-	jobsWG sync.WaitGroup
-}
-
-// jobEntry is one asynchronous sweep job. Its fields are guarded by the
-// server mutex; done is closed when the job finishes in any state.
-type jobEntry struct {
-	id     string
-	state  string // "queued", "running", "done", "failed", "cancelled"
-	rows   []ruu.SpeedupRow
-	errMsg string
-	cancel context.CancelFunc
-	done   chan struct{}
 }
 
 // New returns a Server over cfg.Runner.
@@ -153,9 +122,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
-	}
-	if cfg.MaxActiveJobs == 0 {
-		cfg.MaxActiveJobs = DefaultMaxActiveJobs
 	}
 	if cfg.MaxBatchItems == 0 {
 		cfg.MaxBatchItems = DefaultMaxBatchItems
@@ -171,19 +137,16 @@ func New(cfg Config) *Server {
 		mux:             http.NewServeMux(),
 		maxRequestBytes: cfg.MaxRequestBytes,
 		requestTimeout:  cfg.RequestTimeout,
-		maxActiveJobs:   cfg.MaxActiveJobs,
 		log:             cfg.Log,
 		reg:             obs.NewRegistry(),
 		spans:           obs.NewSpanRecorder(),
 		build:           ReadBuildInfo(),
 
 		store:             cfg.Store,
-		fabric:            cfg.Fabric,
 		maxBatchItems:     cfg.MaxBatchItems,
 		maxBatchInFlight:  cfg.MaxBatchInFlight,
 		maxClientInFlight: cfg.MaxClientInFlight,
 
-		jobs:           make(map[string]*jobEntry),
 		latency:        make(map[string]*obs.Hist),
 		httpReqs:       make(map[string]int64),
 		clientInFlight: make(map[string]int),
@@ -197,9 +160,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobDelete)
 	s.mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -215,34 +175,13 @@ func (s *Server) Handler() http.Handler { return s.withObservability(s.mux) }
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // StartDrain puts the server in draining mode: new POSTs are refused
-// with 503 while GETs (health, metrics, job polls) keep working, so
-// clients can collect results of jobs already in flight.
+// with 503 while GETs (health, metrics, trace) keep working. Requests
+// already in flight, a streaming /v1/batch included, run to completion;
+// http.Server.Shutdown waits for them.
 func (s *Server) StartDrain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-}
-
-// Drain blocks until every in-flight asynchronous job has finished (the
-// jobs keep their results, so a poll after Drain returns the drained
-// outcome) or ctx expires.
-func (s *Server) Drain(ctx context.Context) error {
-	done := make(chan struct{})
-	// Waiting on a WaitGroup with a deadline requires a helper
-	// goroutine; it only signals completion and touches no simulation
-	// state. //ruulint:ok simdeterminism
-	go func() {
-		s.jobsWG.Wait()
-		close(done)
-	}()
-	// Two-channel wait: "all jobs finished" vs "caller gave up"; job
-	// results are unaffected by which arm wins. //ruulint:ok simdeterminism
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // apiError is the JSON error body. File/Line carry assembler
@@ -265,14 +204,23 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// decode reads a size-limited JSON request body, mapping oversize
-// bodies to 413 and malformed JSON to 400. It reports whether the
-// request can proceed.
+// decode reads a size-limited body holding exactly one JSON value,
+// mapping oversize bodies to 413 and malformed JSON, or bytes after the
+// value, to 400. It reports whether the request can proceed.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxRequestBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		// A second value, or garbage, after the first is malformed too.
+		if err = dec.Decode(&json.RawMessage{}); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -299,21 +247,8 @@ func (s *Server) refuseIfDraining(w http.ResponseWriter) bool {
 	return draining
 }
 
-// activeJobs counts sweep jobs currently queued or running.
-func (s *Server) activeJobs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		if j.state == "queued" || j.state == "running" {
-			n++
-		}
-	}
-	return n
-}
-
 // machineRequest is the configuration block shared by simulate and
-// sweep requests; zero values take the same defaults as ruu.Config.
+// batch requests; zero values take the same defaults as ruu.Config.
 type machineRequest struct {
 	Engine      string `json:"engine"`
 	Entries     int    `json:"entries"`
@@ -423,8 +358,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Compared in milliseconds: a huge timeout_ms would overflow a
+	// Duration, and it asks for no shortening anyway.
 	timeout := s.requestTimeout
-	if req.TimeoutMS > 0 && time.Duration(req.TimeoutMS)*time.Millisecond < timeout {
+	if req.TimeoutMS > 0 && req.TimeoutMS < timeout.Milliseconds() {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(
@@ -461,162 +398,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// sweepRequest is the body of POST /v1/sweep: a machine configuration
-// template plus the entry counts to sweep over the Livermore suite.
-type sweepRequest struct {
-	machineRequest
-	Sizes []int `json:"sizes"`
-}
-
-// jobResponse is the rendering of one job (202 on create, 200 on poll).
-type jobResponse struct {
-	ID    string           `json:"id"`
-	State string           `json:"state"`
-	URL   string           `json:"url"`
-	Rows  []ruu.SpeedupRow `json:"rows,omitempty"`
-	Error string           `json:"error,omitempty"`
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if s.refuseIfDraining(w) {
-		return
-	}
-	if s.maxActiveJobs > 0 && s.activeJobs() >= s.maxActiveJobs {
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
-		writeError(w, http.StatusTooManyRequests,
-			"too many active jobs (%d); retry later", s.maxActiveJobs)
-		return
-	}
-	var req sweepRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	cfg, err := req.config()
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	if len(req.Sizes) == 0 {
-		writeError(w, http.StatusUnprocessableEntity, "sizes must be non-empty")
-		return
-	}
-	if len(req.Sizes) > DefaultMaxSweepSizes {
-		writeError(w, http.StatusUnprocessableEntity, "sizes exceeds %d entries", DefaultMaxSweepSizes)
-		return
-	}
-	for _, n := range req.Sizes {
-		if n < 1 {
-			writeError(w, http.StatusUnprocessableEntity, "sizes must be positive (got %d)", n)
-			return
-		}
-	}
-
-	// The job outlives the creating request by design: its lifetime is
-	// controlled by DELETE /v1/jobs/{id} and server drain, not by the
-	// submitting connection. The request ID still rides along so the
-	// job's pool spans are attributable to the POST that created them.
-	ctx, cancel := context.WithCancel( // detaching is the point here //ruulint:ok ctxflow
-		obs.WithRequestID(context.Background(), obs.RequestIDFrom(r.Context())))
-	s.mu.Lock()
-	s.nextJob++
-	j := &jobEntry{
-		id:     fmt.Sprintf("job-%d", s.nextJob),
-		state:  "queued",
-		cancel: cancel,
-		done:   make(chan struct{}),
-	}
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-
-	engine := req.engineName()
-	s.jobsWG.Add(1)
-	// One goroutine per sweep job: the fan-out across kernels happens
-	// inside Runner.Sweep on the shared worker pool; this goroutine
-	// only waits for it and records the outcome. //ruulint:ok simdeterminism
-	go func() {
-		defer s.jobsWG.Done()
-		defer close(j.done)
-		s.setJobState(j, "running", nil, nil)
-		// Job wall-clock telemetry, invisible to the simulation.
-		//ruulint:ok simdeterminism
-		start := time.Now()
-		rows, err := s.runner.Sweep(ctx, cfg, req.Sizes)
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				s.setJobState(j, "cancelled", nil, err)
-			} else {
-				s.setJobState(j, "failed", nil, err)
-			}
-			return
-		}
-		// Telemetry clock again; the sweep's results are already fixed
-		// by its inputs. //ruulint:ok simdeterminism
-		s.observeLatency(engine, time.Since(start))
-		s.setJobState(j, "done", rows, nil)
-	}()
-
-	writeJSON(w, http.StatusAccepted, s.renderJob(j))
-}
-
-func (s *Server) setJobState(j *jobEntry, state string, rows []ruu.SpeedupRow, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// A cancelled job stays cancelled even if the sweep raced to a
-	// result after the DELETE.
-	if j.state == "cancelled" && state != "cancelled" {
-		return
-	}
-	j.state = state
-	j.rows = rows
-	if err != nil {
-		j.errMsg = err.Error()
-	}
-}
-
-func (s *Server) renderJob(j *jobEntry) jobResponse {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return jobResponse{
-		ID:    j.id,
-		State: j.state,
-		URL:   "/v1/jobs/" + j.id,
-		Rows:  j.rows,
-		Error: j.errMsg,
-	}
-}
-
-func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *jobEntry {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
-	}
-	return j
-}
-
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	if j := s.lookupJob(w, r); j != nil {
-		writeJSON(w, http.StatusOK, s.renderJob(j))
-	}
-}
-
-func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
-	s.mu.Lock()
-	if j.state == "queued" || j.state == "running" {
-		j.state = "cancelled"
-	}
-	delete(s.jobs, j.id)
-	s.mu.Unlock()
-	j.cancel()
-	writeJSON(w, http.StatusOK, map[string]string{"id": j.id, "state": "cancelled"})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
@@ -649,11 +430,10 @@ func (s *Server) observeLatency(engine string, d time.Duration) {
 	h.Observe(d.Milliseconds())
 }
 
-// metricsResponse is the body of GET /v1/metrics: scheduler and cache
-// counters, job states, and per-engine service latency histograms.
+// metricsResponse is the body of GET /metrics: scheduler and cache
+// counters and per-engine service latency histograms.
 type metricsResponse struct {
 	Scheduler any            `json:"scheduler"`
-	Jobs      map[string]int `json:"jobs"`
 	LatencyMS map[string]any `json:"latency_ms"`
 	Draining  bool           `json:"draining"`
 }
@@ -664,18 +444,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		_ = s.reg.WritePrometheus(w) // response already committed
 		return
 	}
-	resp := metricsResponse{
-		Jobs:      map[string]int{},
-		LatencyMS: map[string]any{},
-	}
+	resp := metricsResponse{LatencyMS: map[string]any{}}
 	if p := s.runner.Pool(); p != nil {
 		resp.Scheduler = p.Metrics()
 	}
 	s.mu.Lock()
 	resp.Draining = s.draining
-	for _, j := range s.jobs {
-		resp.Jobs[j.state]++
-	}
 	names := make([]string, 0, len(s.latency))
 	for name := range s.latency {
 		names = append(names, name)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"ruu"
+	"ruu/internal/livermore"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -115,8 +117,6 @@ func TestValidationErrors(t *testing.T) {
 		{"no program", "/v1/simulate", map[string]any{"engine": "ruu"}, 422},
 		{"both programs", "/v1/simulate", map[string]any{"kernel": "LLL1", "asm": "halt"}, 422},
 		{"unknown field", "/v1/simulate", map[string]any{"krenel": "LLL1"}, 400},
-		{"empty sizes", "/v1/sweep", map[string]any{"engine": "ruu"}, 422},
-		{"negative size", "/v1/sweep", map[string]any{"sizes": []int{3, -1}}, 422},
 		{"absurd ruu size", "/v1/simulate", map[string]any{"engine": "ruu", "entries": 1 << 60, "kernel": "LLL1"}, 422},
 		{"absurd rstu size", "/v1/simulate", map[string]any{"engine": "rstu", "entries": 1 << 60, "kernel": "LLL1"}, 422},
 		{"huge rstu size", "/v1/simulate", map[string]any{"engine": "rstu", "entries": 100_000_000, "kernel": "LLL1"}, 422},
@@ -134,11 +134,21 @@ func TestValidationErrors(t *testing.T) {
 
 func TestMalformedJSONIs400(t *testing.T) {
 	s := newTestServer(t, Config{})
-	req := httptest.NewRequest("POST", "/v1/simulate", strings.NewReader("{not json"))
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", rec.Code)
+	for _, body := range []string{
+		"{not json",
+		// One valid value followed by a second one, or by garbage: the
+		// body is not one JSON value, and the tail must not be ignored.
+		`{"kernel":"LLL1"}{"kernel":"bogus"}`,
+		`{"kernel":"LLL1"} garbage`,
+	} {
+		for _, path := range []string{"/v1/simulate", "/v1/batch", "/v1/analyze"} {
+			req := httptest.NewRequest("POST", path, strings.NewReader(body))
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("POST %s %q: status %d, want 400", path, body, rec.Code)
+			}
+		}
 	}
 }
 
@@ -173,34 +183,68 @@ func TestDeadlineIs504(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutDoesNotShorten: a timeout_ms too large for a
+// time.Duration asks for no shortening; it must not wrap into a
+// negative deadline that fails at once.
+func TestHugeTimeoutDoesNotShorten(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, ms := range []int64{1 << 62, 1<<63 - 1} {
+		rec := postJSON(t, s.Handler(), "/v1/simulate", map[string]any{
+			"kernel": "LLL1", "timeout_ms": ms,
+		})
+		if rec.Code != http.StatusOK {
+			t.Errorf("timeout_ms %d: status %d, want 200: %s", ms, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestUnknownJobIs404: /v1/jobs/{id} and /v1/sweep are not routes (a
+// sweep is a /v1/batch); they answer 404 and count under the bounded
+// "other" route label.
 func TestUnknownJobIs404(t *testing.T) {
 	s := newTestServer(t, Config{})
-	if rec := get(t, s.Handler(), "/v1/jobs/job-999"); rec.Code != http.StatusNotFound {
-		t.Fatalf("status %d, want 404", rec.Code)
+	h := s.Handler()
+	if rec := get(t, h, "/v1/jobs/job-999"); rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /v1/jobs/job-999: status %d, want 404", rec.Code)
+	}
+	if rec := postJSON(t, h, "/v1/sweep", map[string]any{"sizes": []int{3}}); rec.Code != http.StatusNotFound {
+		t.Fatalf("POST /v1/sweep: status %d, want 404", rec.Code)
+	}
+	body := scrapePrometheus(t, h)
+	for _, want := range []string{
+		`ruu_http_requests_total{route="GET other",code="404"} 1`,
+		`ruu_http_requests_total{route="POST other",code="404"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("scrape missing %q", want)
+		}
 	}
 }
 
-func pollJob(t *testing.T, h http.Handler, url string) jobResponse {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j := decodeBody[jobResponse](t, get(t, h, url))
-		switch j.State {
-		case "done", "failed", "cancelled":
-			return j
+// sweepItems is the shape of a paper sweep as one batch: the 14
+// Livermore kernels at each machine configuration, baseline first.
+func sweepItems() (items []map[string]any, cfgs []ruu.Config, kernels []*livermore.Kernel) {
+	for _, cfg := range []ruu.Config{
+		{Engine: ruu.EngineSimple},
+		{Engine: ruu.EngineRSTU, Entries: 3},
+		{Engine: ruu.EngineRSTU, Entries: 6},
+	} {
+		for _, k := range livermore.Kernels() {
+			items = append(items, map[string]any{
+				"engine": string(cfg.Engine), "entries": cfg.Entries, "kernel": k.Name,
+			})
+			cfgs = append(cfgs, cfg)
+			kernels = append(kernels, k)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in state %q", url, j.State)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	return items, cfgs, kernels
 }
 
-// TestServiceIntegration is the ISSUE's acceptance scenario over real
-// HTTP: submit a sweep, poll the async job to completion, check the
-// rows against the serial harness, resubmit and see the cache hits in
-// /metrics, then shut down gracefully with a job in flight and verify
-// the drained job still serves its result.
+// TestServiceIntegration is the service's acceptance scenario over
+// real HTTP: post a sweep as a /v1/batch, check every outcome against
+// a serial library run, resubmit and see the cache hits in /metrics,
+// then drain with a batch still streaming and check that it completes
+// while new work is refused.
 func TestServiceIntegration(t *testing.T) {
 	runner := ruu.NewRunner(ruu.RunnerConfig{Workers: 4})
 	defer runner.Close()
@@ -208,77 +252,102 @@ func TestServiceIntegration(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sizes := []int{3, 6}
-	sweepBody, _ := json.Marshal(map[string]any{
-		"engine": "rstu", "sizes": sizes,
-	})
-	httpPost := func() jobResponse {
-		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(sweepBody))
+	items, cfgs, kernels := sweepItems()
+	post := func(items []map[string]any) *http.Response {
+		t.Helper()
+		b, _ := json.Marshal(map[string]any{"items": items})
+		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
+		return resp
+	}
+	run := func(items []map[string]any) []batchLine {
+		t.Helper()
+		resp := post(items)
 		defer resp.Body.Close()
 		raw, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("sweep status %d: %s", resp.StatusCode, raw)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
 		}
-		var j jobResponse
-		if err := json.Unmarshal(raw, &j); err != nil {
-			t.Fatalf("decode %q: %v", raw, err)
+		return parseNDJSON(t, raw)
+	}
+
+	// 1. The sweep's outcomes equal a serial run of the same items.
+	lines := run(items)
+	if len(lines) != len(items) {
+		t.Fatalf("got %d lines for %d items", len(lines), len(items))
+	}
+	serial := &ruu.Runner{}
+	for i, ln := range lines {
+		u, err := kernels[i].Unit()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return j
+		want, err := serial.RunProgram(context.Background(), cfgs[i], u, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ln.Error != "" || ln.Outcome == nil {
+			t.Fatalf("item %d: error %q", i, ln.Error)
+		}
+		if got, want := fmt.Sprintf("%#v", *ln.Outcome), fmt.Sprintf("%#v", want); got != want {
+			t.Errorf("item %d diverges from serial:\n got %s\nwant %s", i, got, want)
+		}
 	}
 
-	// 1. Submit and poll to completion.
-	job := httpPost()
-	if job.ID == "" || job.URL == "" {
-		t.Fatalf("bad 202 body: %+v", job)
-	}
-	done := pollJob(t, s.Handler(), job.URL)
-	if done.State != "done" || len(done.Rows) != len(sizes) {
-		t.Fatalf("job finished as %+v", done)
-	}
-
-	// 2. The rows match the serial harness byte for byte.
-	serial, err := ruu.Sweep(ruu.Config{Engine: ruu.EngineRSTU}, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprintf("%#v", done.Rows), fmt.Sprintf("%#v", serial); got != want {
-		t.Errorf("HTTP sweep diverges from serial:\n got %s\nwant %s", got, want)
-	}
-
-	// 3. Resubmit: every kernel run is answered from the cache.
-	job2 := httpPost()
-	done2 := pollJob(t, s.Handler(), job2.URL)
-	if done2.State != "done" {
-		t.Fatalf("resubmitted job finished as %+v", done2)
-	}
+	// 2. Resubmit: every item is answered from the cache.
+	run(items)
 	m := decodeBody[map[string]any](t, get(t, s.Handler(), "/metrics"))
 	sched, _ := m["scheduler"].(map[string]any)
 	cache, _ := sched["cache"].(map[string]any)
-	if hits, _ := cache["hits"].(float64); hits == 0 {
-		t.Errorf("/metrics shows no cache hits after resubmission: %v", m)
-	}
-	if lat, _ := m["latency_ms"].(map[string]any); lat["rstu"] == nil {
-		t.Errorf("/metrics carries no rstu latency histogram: %v", m["latency_ms"])
+	if hits, _ := cache["hits"].(float64); hits < float64(len(items)) {
+		t.Errorf("/metrics shows %v cache hits after resubmission, want >= %d: %v", cache["hits"], len(items), m)
 	}
 
-	// 4. Graceful shutdown with a job in flight: drain, then collect
-	// the drained job's result.
-	inflight := httpPost()
+	// 3. Graceful shutdown with a batch streaming: new POSTs get 503,
+	// the admitted batch still delivers every line.
+	var fresh []map[string]any
+	for _, k := range livermore.Kernels() {
+		fresh = append(fresh, map[string]any{"engine": "ruu", "entries": 10, "kernel": k.Name})
+	}
+	streaming := post(fresh)
+	defer streaming.Body.Close()
+	if streaming.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", streaming.StatusCode)
+	}
+	rd := bufio.NewReader(streaming.Body)
+	first, err := rd.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("first line: %v", err)
+	}
 	s.StartDrain()
-	if rec := postJSON(t, s.Handler(), "/v1/sweep", map[string]any{"sizes": sizes}); rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("draining server accepted a POST (status %d)", rec.Code)
+	refused := post(items[:1])
+	refused.Body.Close()
+	if refused.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining server accepted a POST (status %d)", refused.StatusCode)
 	}
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancelDrain()
-	if err := s.Drain(drainCtx); err != nil {
-		t.Fatalf("drain: %v", err)
+	shutdown := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		shutdown <- ts.Config.Shutdown(ctx)
+	}()
+	rest, err := io.ReadAll(rd)
+	if err != nil {
+		t.Fatalf("stream cut by the drain: %v", err)
 	}
-	final := decodeBody[jobResponse](t, get(t, s.Handler(), inflight.URL))
-	if final.State != "done" || len(final.Rows) != len(sizes) {
-		t.Fatalf("drained job is %+v, want done with %d rows", final, len(sizes))
+	drained := parseNDJSON(t, append(first, rest...))
+	if len(drained) != len(fresh) {
+		t.Fatalf("drained batch delivered %d of %d lines", len(drained), len(fresh))
+	}
+	for i, ln := range drained {
+		if ln.Error != "" || ln.Outcome == nil || !ln.Outcome.Verified {
+			t.Fatalf("drained batch line %d: error %q, outcome %v", i, ln.Error, ln.Outcome)
+		}
+	}
+	if err := <-shutdown; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 	h := decodeBody[map[string]any](t, get(t, s.Handler(), "/healthz"))
 	if h["draining"] != true {
@@ -286,30 +355,52 @@ func TestServiceIntegration(t *testing.T) {
 	}
 }
 
+// TestJobCancellation: a batch whose client goes away cancels its
+// queued pool jobs, and the request's admission slots are released.
 func TestJobCancellation(t *testing.T) {
-	s := newTestServer(t, Config{})
-	rec := postJSON(t, s.Handler(), "/v1/sweep", map[string]any{
-		"engine": "ruu", "sizes": []int{3, 6, 10, 15},
-	})
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("sweep status %d: %s", rec.Code, rec.Body)
+	runner := ruu.NewRunner(ruu.RunnerConfig{Workers: 1})
+	defer runner.Close()
+	s := New(Config{Runner: runner})
+	var items []map[string]any
+	for _, n := range []int{40, 45, 50} {
+		for _, k := range livermore.Kernels() {
+			items = append(items, map[string]any{"engine": "ruu", "entries": n, "kernel": k.Name})
+		}
 	}
-	j := decodeBody[jobResponse](t, rec)
-	delReq := httptest.NewRequest("DELETE", j.URL, nil)
-	delRec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(delRec, delReq)
-	if delRec.Code != http.StatusOK {
-		t.Fatalf("delete status %d: %s", delRec.Code, delRec.Body)
+	body, _ := json.Marshal(map[string]any{"items": items})
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest("POST", "/v1/batch", bytes.NewReader(body)).WithContext(ctx)
+	rec := &cancelOnFirstLine{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
+	s.Handler().ServeHTTP(rec, req)
+
+	lines := parseNDJSON(t, rec.Body.Bytes())
+	if lines[0].Outcome == nil {
+		t.Fatalf("first line carries no outcome: %+v", lines[0])
 	}
-	if rec := get(t, s.Handler(), j.URL); rec.Code != http.StatusNotFound {
-		t.Fatalf("deleted job still served (status %d)", rec.Code)
+	if last := lines[len(lines)-1]; last.Error == "" {
+		t.Errorf("last line of a cancelled batch carries no error: %+v", last)
 	}
-	// Drain must not hang on the cancelled job.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain after cancel: %v", err)
+	s.mu.Lock()
+	inFlight, clients := s.batchInFlight, len(s.clientInFlight)
+	s.mu.Unlock()
+	if inFlight != 0 || clients != 0 {
+		t.Errorf("cancelled batch leaked slots: %d items, %d clients", inFlight, clients)
 	}
+	if m := runner.Pool().Metrics(); m.Completed >= int64(len(items)) {
+		t.Errorf("all %d jobs ran after the cancel (%+v)", len(items), m)
+	}
+}
+
+// cancelOnFirstLine cancels the request context once the first result
+// line is flushed: the client hanging up mid-stream.
+type cancelOnFirstLine struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnFirstLine) Flush() {
+	c.ResponseRecorder.Flush()
+	c.cancel()
 }
 
 func TestMetricsAndHealthzShape(t *testing.T) {

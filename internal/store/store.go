@@ -1,9 +1,9 @@
-// Package store is the persistent layer of the sweep fabric's result
+// Package store is the persistent layer of the service's result
 // cache: a disk-backed, crash-safe store of simulation results keyed by
 // the scheduler's content-addressed SHA-256 job keys. It sits *under*
 // the in-memory LRU (internal/sched.Cache) — a memory miss falls
 // through to disk, a completed job is written through to disk — so
-// results survive process restarts and a redeployed worker starts with
+// results survive process restarts and a redeployed server starts with
 // a warm cache instead of re-simulating its whole working set.
 //
 // Layout (everything under one root directory):

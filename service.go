@@ -363,7 +363,7 @@ type SimOutcome struct {
 }
 
 // ProgramKey returns the content address a (cfg, u, verify) program
-// simulation is cached — and routed across the fabric — under; NoKey
+// simulation is cached under; NoKey
 // when the job is uncacheable (observer attached or unencodable
 // program).
 func ProgramKey(cfg Config, u *Unit, verify bool) sched.Key {
