@@ -84,6 +84,13 @@ func BenchmarkSimulatorRUUSpeculative(b *testing.B) { runBench(b, "SimulatorRUUS
 // BenchmarkSimulatorRSTU measures RSTU simulation speed.
 func BenchmarkSimulatorRSTU(b *testing.B) { runBench(b, "SimulatorRSTU") }
 
+// BenchmarkSimulatorRUU50 and BenchmarkSimulatorRSTU50 measure the same
+// kernel at 50 entries, the paper's largest window: beside the 12- and
+// 10-entry benchmarks they show how the per-cycle cost scales with size.
+func BenchmarkSimulatorRUU50(b *testing.B) { runBench(b, "SimulatorRUU50") }
+
+func BenchmarkSimulatorRSTU50(b *testing.B) { runBench(b, "SimulatorRSTU50") }
+
 // BenchmarkSimulatorSimple measures baseline-engine simulation speed.
 func BenchmarkSimulatorSimple(b *testing.B) { runBench(b, "SimulatorSimple") }
 

@@ -79,6 +79,8 @@ func Suite() []Benchmark {
 			benchKernelEngine(b, n, cfg)
 		}},
 		{"SimulatorRSTU", func(b B, n int) { benchKernelEngine(b, n, ruu.Config{Engine: ruu.EngineRSTU, Entries: 10}) }},
+		{"SimulatorRUU50", func(b B, n int) { benchKernelEngine(b, n, ruu.Config{Engine: ruu.EngineRUU, Entries: 50}) }},
+		{"SimulatorRSTU50", func(b B, n int) { benchKernelEngine(b, n, ruu.Config{Engine: ruu.EngineRSTU, Entries: 50}) }},
 		{"SimulatorSimple", func(b B, n int) { benchKernelEngine(b, n, ruu.Config{Engine: ruu.EngineSimple}) }},
 		{"ProbeOverheadOff", func(b B, n int) {
 			benchKernelEngine(b, n, ruu.Config{Engine: ruu.EngineRUU, Entries: 12})
