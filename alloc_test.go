@@ -88,6 +88,19 @@ func TestCycleZeroAllocs(t *testing.T) {
 		allocCase{"ruu-limited", ruu.Config{Engine: ruu.EngineRUU, Bypass: ruu.BypassLimited}, allocLoop},
 		allocCase{"ruu-spec-mispredicting", spec, alternatingLoop},
 	)
+	// The paper's largest windows: every waiter list, ready list, free
+	// list and flight-ring slot is sized at Reset, so size adds no
+	// per-cycle allocation.
+	for _, b := range []ruu.BypassKind{ruu.BypassFull, ruu.BypassNone, ruu.BypassLimited} {
+		cases = append(cases, allocCase{"ruu-50-" + string(b), ruu.Config{Engine: ruu.EngineRUU, Entries: 50, Bypass: b}, allocLoop})
+	}
+	spec50 := ruu.Config{Engine: ruu.EngineRUU, Entries: 50}
+	spec50.Machine.Speculate = true
+	cases = append(cases,
+		allocCase{"ruu-50-spec-mispredicting", spec50, alternatingLoop},
+		allocCase{"rstu-50-2p", ruu.Config{Engine: ruu.EngineRSTU, Entries: 50, Paths: 2}, allocLoop},
+		allocCase{"tomasulo-5", ruu.Config{Engine: ruu.EngineTomasulo, Entries: 5}, allocLoop},
+	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			measure := func(n int) (allocs float64, res ruu.Result) {
