@@ -98,17 +98,99 @@ func (m *Memory) Equal(o *Memory) bool {
 
 // FirstDiff returns the first address at which two images differ, or -1.
 func (m *Memory) FirstDiff(o *Memory) int64 {
-	n := len(m.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		if m.words[i] != o.words[i] {
-			return int64(i)
-		}
+	n := min(len(m.words), len(o.words))
+	if i := firstDiff(m.words[:n], o.words[:n]); i >= 0 {
+		return int64(i)
 	}
 	if len(m.words) != len(o.words) {
 		return int64(n)
+	}
+	return -1
+}
+
+// Image is a read-only, page-sparse copy of a memory image: its size
+// and those of its pages of PageWords words that hold a non-zero word.
+// A page of zeros is not stored. Mapping state is not kept: like Equal
+// and FirstDiff, an Image is about architectural state only.
+type Image struct {
+	size  int
+	pages [][]int64 // by page index; nil for a page of zeros
+}
+
+// Sparse returns a page-sparse copy of m's words.
+func (m *Memory) Sparse() *Image {
+	im := &Image{size: len(m.words), pages: make([][]int64, (len(m.words)+PageWords-1)/PageWords)}
+	for p := range im.pages {
+		page := m.words[p*PageWords : min((p+1)*PageWords, len(m.words))]
+		if firstNonZero(page) >= 0 {
+			im.pages[p] = append([]int64(nil), page...)
+		}
+	}
+	return im
+}
+
+// FirstDiff returns what FirstDiff between m and the image this copy was
+// taken from returns: the first address at which they differ, the
+// smaller size when only the sizes differ, or -1. It compares whole page
+// slices, reading a page that is not stored as zeros.
+func (im *Image) FirstDiff(m *Memory) int64 {
+	n := min(im.size, len(m.words))
+	for p, page := range im.pages {
+		lo := p * PageWords
+		if lo >= n {
+			break
+		}
+		got := m.words[lo:min(lo+PageWords, n)]
+		var i int
+		if page == nil {
+			i = firstNonZero(got)
+		} else {
+			i = firstDiff(page, got)
+		}
+		if i >= 0 {
+			return int64(lo + i)
+		}
+	}
+	if im.size != len(m.words) {
+		return int64(n)
+	}
+	return -1
+}
+
+// firstDiff returns the first index at which got differs from want, or
+// -1; want is at least as long as got. A verify reads every word of a
+// 32Ki-word image, so the loop tests eight words with one branch.
+func firstDiff(want, got []int64) int {
+	want = want[:len(got)]
+	i := 0
+	for ; i+8 <= len(got); i += 8 {
+		w, g := want[i:i+8:i+8], got[i:i+8:i+8]
+		if (w[0]^g[0])|(w[1]^g[1])|(w[2]^g[2])|(w[3]^g[3])|
+			(w[4]^g[4])|(w[5]^g[5])|(w[6]^g[6])|(w[7]^g[7]) != 0 {
+			break
+		}
+	}
+	for ; i < len(got); i++ {
+		if want[i] != got[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// firstNonZero is firstDiff against zeros.
+func firstNonZero(got []int64) int {
+	i := 0
+	for ; i+8 <= len(got); i += 8 {
+		g := got[i : i+8 : i+8]
+		if g[0]|g[1]|g[2]|g[3]|g[4]|g[5]|g[6]|g[7] != 0 {
+			break
+		}
+	}
+	for ; i < len(got); i++ {
+		if got[i] != 0 {
+			return i
+		}
 	}
 	return -1
 }
