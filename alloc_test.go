@@ -1,11 +1,13 @@
 package ruu_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"ruu"
+	"ruu/internal/livermore"
 )
 
 // allocLoop is a counted loop with a load and a store per iteration, so
@@ -137,5 +139,38 @@ func TestCycleZeroAllocs(t *testing.T) {
 					longCycles-shortCycles, delta, perCycle)
 			}
 		})
+	}
+}
+
+// TestVerifiedRunProgramAllocs bounds what a verified RunProgram
+// allocates once the unit's functional reference is computed: the
+// run's own state and machine, not a second and third memory image for
+// the reference.
+func TestVerifiedRunProgramAllocs(t *testing.T) {
+	const limitKB, runs = 400, 10
+	u, err := livermore.ByName("LLL1").Unit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r *ruu.Runner
+	cfg := ruu.Config{Engine: ruu.EngineRUU, Entries: 12}
+	run := func() {
+		out, err := r.RunProgram(context.Background(), cfg, u, true)
+		if err != nil || !out.Verified {
+			t.Fatalf("RunProgram: verified=%v err=%v", out.Verified, err)
+		}
+	}
+	run()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024; kb >= limitKB {
+		t.Errorf("verified RunProgram allocates %.0f KB per run, want under %d KB", kb, limitKB)
+	} else {
+		t.Logf("verified RunProgram allocates %.0f KB per run", kb)
 	}
 }

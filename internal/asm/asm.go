@@ -27,7 +27,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 
+	"ruu/internal/exec"
 	"ruu/internal/isa"
 	"ruu/internal/memsys"
 )
@@ -55,6 +57,40 @@ type Unit struct {
 
 	// nIns is the pass-1 instruction count, for pass-2 range checks.
 	nIns int
+
+	// refOnce guards the memoized functional reference (see Reference).
+	refOnce sync.Once
+	ref     *Reference
+	refErr  error
+}
+
+// Reference is a unit's functional reference: where the functional
+// executor ends when it runs the program from NewMemory. It keeps only
+// what a verify step compares, the final registers, the run's counts
+// and the final memory image in page-sparse form, and is shared
+// read-only by every caller.
+type Reference struct {
+	Regs   exec.RegState
+	Result exec.RunResult
+	Mem    *memsys.Image
+}
+
+// Reference returns the unit's functional reference. The first call
+// runs the functional executor; every later call, from any goroutine,
+// returns the same value, or the same error. The reference depends only
+// on the program and data image, so the unit must not change after the
+// first call.
+func (u *Unit) Reference() (*Reference, error) {
+	u.refOnce.Do(func() {
+		st := exec.NewState(u.NewMemory())
+		res, err := st.Run(u.Prog, 0, nil)
+		if err != nil {
+			u.refErr = err
+			return
+		}
+		u.ref = &Reference{Regs: st.RegState, Result: res, Mem: st.Mem.Sparse()}
+	})
+	return u.ref, u.refErr
 }
 
 // InitMemory writes the unit's data image into m.

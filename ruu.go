@@ -318,9 +318,13 @@ func Run(cfg Config, src string) (Result, error) {
 }
 
 // Reference runs the program on the functional executor (the golden
-// reference) and returns the final state and dynamic statistics.
+// reference) and returns the final state and dynamic statistics. The
+// state is fresh and the caller's to change; Unit.Reference is the
+// shared, read-only form a verify step compares against.
 func Reference(u *Unit) (*State, exec.RunResult, error) {
-	return exec.Reference(u.Prog, NewState(u), 0)
+	st := NewState(u)
+	res, err := st.Run(u.Prog, 0, nil)
+	return st, res, err
 }
 
 // FloatBits converts a float64 to its S-register/memory representation.

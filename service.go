@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"ruu/internal/exec"
+	"ruu/internal/asm"
 	"ruu/internal/isa"
 	"ruu/internal/livermore"
 	"ruu/internal/sched"
@@ -458,20 +458,30 @@ func simulateUnit(cfg Config, u *Unit, verify bool) (SimOutcome, error) {
 		return out, nil
 	}
 	if verify {
-		ref, refRes, err := exec.Reference(u.Prog, NewState(u), 0)
+		ref, err := u.Reference()
 		if err != nil {
 			return SimOutcome{}, fmt.Errorf("reference: %w", err)
 		}
-		if res.Stats.Instructions != refRes.Executed {
-			return SimOutcome{}, fmt.Errorf("verify: instruction count %d != reference %d", res.Stats.Instructions, refRes.Executed)
-		}
-		if !st.EqualRegs(ref) {
-			return SimOutcome{}, fmt.Errorf("verify: registers differ from reference: %v", st.DiffRegs(ref))
-		}
-		if d := st.Mem.FirstDiff(ref.Mem); d >= 0 {
-			return SimOutcome{}, fmt.Errorf("verify: memory differs from reference at word %d", d)
+		if err := verifyState(ref, st, res.Stats.Instructions); err != nil {
+			return SimOutcome{}, err
 		}
 		out.Verified = true
 	}
 	return out, nil
+}
+
+// verifyState checks a run's final state st, after it committed
+// instructions, against the unit's functional reference: the
+// instruction count, every register and every memory word.
+func verifyState(ref *asm.Reference, st *State, instructions int64) error {
+	if instructions != ref.Result.Executed {
+		return fmt.Errorf("verify: instruction count %d != reference %d", instructions, ref.Result.Executed)
+	}
+	if st.RegState != ref.Regs {
+		return fmt.Errorf("verify: registers differ from reference: %v", st.DiffRegs(&State{RegState: ref.Regs}))
+	}
+	if d := ref.Mem.FirstDiff(st.Mem); d >= 0 {
+		return fmt.Errorf("verify: memory differs from reference at word %d", d)
+	}
+	return nil
 }

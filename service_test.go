@@ -3,8 +3,10 @@ package ruu
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
+	"ruu/internal/asm"
 	"ruu/internal/livermore"
 )
 
@@ -187,6 +189,91 @@ func TestJobKeySeparatesConfigsProgramsAndState(t *testing.T) {
 	st.Mem.Poke(0, 12345)
 	if k := jobKey(base, u, st); k == k0 {
 		t.Error("different initial memory produced the same key")
+	}
+}
+
+// TestVerifyStateRejectsWrongFinalState feeds the verify step a final
+// state that is right but for one thing, for each of the three checks,
+// and pins the error text each one gives.
+func TestVerifyStateRejectsWrongFinalState(t *testing.T) {
+	u, err := livermore.ByName("LLL1").Unit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := u.Reference()
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := func() (*State, int64) {
+		st, rr, err := Reference(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, rr.Executed
+	}
+	st, n := final()
+	if err := verifyState(ref, st, n); err != nil {
+		t.Fatalf("the reference's own final state: %v", err)
+	}
+
+	want := fmt.Sprintf("verify: instruction count %d != reference %d", n+1, n)
+	if err := verifyState(ref, st, n+1); err == nil || err.Error() != want {
+		t.Errorf("wrong instruction count: got %v, want %q", err, want)
+	}
+
+	st, n = final()
+	st.S[1]++
+	want = "verify: registers differ from reference: [S1]"
+	if err := verifyState(ref, st, n); err == nil || err.Error() != want {
+		t.Errorf("one register changed: got %v, want %q", err, want)
+	}
+
+	st, n = final()
+	const addr = 20000
+	st.Mem.Poke(addr, st.Mem.Peek(addr)+1)
+	want = "verify: memory differs from reference at word 20000"
+	if err := verifyState(ref, st, n); err == nil || err.Error() != want {
+		t.Errorf("one memory word changed: got %v, want %q", err, want)
+	}
+}
+
+// TestConcurrentVerifiedRunsShareOneReference sends concurrent
+// verified runs of one freshly assembled kernel unit, so the first
+// computation of its reference races, and checks that every run
+// verifies against one shared reference.
+func TestConcurrentVerifiedRunsShareOneReference(t *testing.T) {
+	u, err := Assemble(livermore.ByName("LLL1").Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(RunnerConfig{Workers: 4, CacheEntries: -1})
+	t.Cleanup(r.Close)
+	cfg := Config{Engine: EngineRUU, Entries: 12}
+	const calls = 32
+	outs := make([]SimOutcome, calls)
+	refs := make([]*asm.Reference, calls)
+	errs := make([]error, calls)
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if outs[i], errs[i] = r.RunProgram(context.Background(), cfg, u, true); errs[i] == nil {
+				refs[i], errs[i] = u.Reference()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < calls; i++ {
+		if errs[i] != nil {
+			t.Fatalf("call %d: %v", i, errs[i])
+		}
+		if !outs[i].Verified {
+			t.Errorf("call %d: outcome not verified: %+v", i, outs[i])
+		}
+		if refs[i] != refs[0] {
+			t.Errorf("call %d: reference %p, call 0 had %p", i, refs[i], refs[0])
+		}
 	}
 }
 
