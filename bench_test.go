@@ -122,11 +122,6 @@ func BenchmarkRuulint(b *testing.B) { runBench(b, "Ruulint") }
 // the phase the shared snapshot/callgraph cache optimises.
 func BenchmarkRuulintCheckOnly(b *testing.B) { runBench(b, "RuulintCheckOnly") }
 
-// BenchmarkRuulintWarm measures a full-hit incremental-cache run on an
-// unchanged tree — the ruulint_warm_ns trajectory point, i.e. what
-// `make lint` costs when nothing changed.
-func BenchmarkRuulintWarm(b *testing.B) { runBench(b, "RuulintWarm") }
-
 // BenchmarkDFAAnalyze measures the full static analysis (abstract
 // interpretation, value-aware lint, memory-dependence summary) over
 // the kernel suite — the pre-replay work of ruudfa and /v1/analyze.

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -88,7 +89,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if n := report(old, cur, *threshold); n > 0 {
+		if n := report(os.Stdout, old, cur, *threshold); n > 0 {
 			os.Exit(1)
 		}
 		return
@@ -159,7 +160,7 @@ func main() {
 	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(f.Benchmarks))
 	if prev != nil {
 		fmt.Printf("comparing against %s\n", prevPath)
-		report(prev, &f, *threshold)
+		report(os.Stdout, prev, &f, *threshold)
 	}
 }
 
@@ -332,18 +333,22 @@ func sameFile(a, b string) bool {
 	return err1 == nil && err2 == nil && aa == bb
 }
 
-// report prints the per-benchmark delta and returns the number of
-// regressions (ns/op growth beyond threshold).
-func report(old, cur *File, threshold float64) int {
+// report prints the per-benchmark delta, marking benchmarks only the
+// new file has as (new) and those only the old file has as (removed),
+// and returns the number of regressions (ns/op growth beyond
+// threshold).
+func report(w io.Writer, old, cur *File, threshold float64) int {
 	prev := map[string]Result{}
 	for _, r := range old.Benchmarks {
 		prev[r.Name] = r
 	}
 	regressions := 0
+	kept := map[string]bool{}
 	for _, r := range cur.Benchmarks {
+		kept[r.Name] = true
 		p, ok := prev[r.Name]
 		if !ok {
-			fmt.Printf("%-28s (new)\n", r.Name)
+			fmt.Fprintf(w, "%-28s (new)\n", r.Name)
 			continue
 		}
 		ratio := r.NsPerOp / p.NsPerOp
@@ -352,11 +357,16 @@ func report(old, cur *File, threshold float64) int {
 			verdict = "  REGRESSION"
 			regressions++
 		}
-		fmt.Printf("%-28s %12.0f -> %12.0f ns/op  (%+.1f%%)%s\n",
+		fmt.Fprintf(w, "%-28s %12.0f -> %12.0f ns/op  (%+.1f%%)%s\n",
 			r.Name, p.NsPerOp, r.NsPerOp, (ratio-1)*100, verdict)
 	}
+	for _, r := range old.Benchmarks {
+		if !kept[r.Name] {
+			fmt.Fprintf(w, "%-28s (removed)\n", r.Name)
+		}
+	}
 	if regressions > 0 {
-		fmt.Printf("%d regression(s) beyond %.0f%% threshold\n", regressions, (threshold-1)*100)
+		fmt.Fprintf(w, "%d regression(s) beyond %.0f%% threshold\n", regressions, (threshold-1)*100)
 	}
 	return regressions
 }

@@ -93,36 +93,9 @@ func (f Finding) String() string {
 type Pass struct {
 	Name string
 	Doc  string
-	// Version participates in the incremental cache key: bump it
-	// whenever the pass's logic or message format changes, so stale
-	// cached findings from an older pass body can never be replayed.
-	// The zero value is a valid version.
-	Version int
-	// Cache declares how the pass's findings depend on the module (see
-	// CacheMode). The zero value, CacheDeps, is correct for any pass
-	// whose per-package findings follow from that package's types —
-	// which includes everything its dependencies export.
-	Cache CacheMode
-	Init  func(*Snapshot)
-	Run   func(*Package) []Finding
+	Init func(*Snapshot)
+	Run  func(*Package) []Finding
 }
-
-// CacheMode tells the incremental lint cache (cache.go) what a pass's
-// per-package findings may depend on, which decides when a cached
-// entry is still valid.
-type CacheMode uint8
-
-const (
-	// CacheDeps: findings for a package depend only on that package's
-	// files and its in-module transitive dependencies. Editing an
-	// unrelated package keeps the entry valid.
-	CacheDeps CacheMode = iota
-	// CacheModule: findings may depend on any package in the module —
-	// the mode for call-graph passes, where interface dispatch can
-	// route through an implementer the package never imports. Any
-	// module edit invalidates every entry of such a pass.
-	CacheModule
-)
 
 // Package is one parsed and type-checked package under analysis.
 type Package struct {

@@ -70,10 +70,8 @@ func NewHotPathAlloc(cfg HotPathConfig) *Pass {
 	var prog *ssa.Program
 	loopRoots := map[*types.Func]bool{}
 	return &Pass{
-		Name:    "hotpathalloc",
-		Doc:     "no heap allocation, boxing, or fmt on the per-cycle hot path",
-		Version: 2, // v2: SSA escape paths appended to allocation findings
-		Cache:   CacheModule,
+		Name: "hotpathalloc",
+		Doc:  "no heap allocation, boxing, or fmt on the per-cycle hot path",
 		Init: func(snap *Snapshot) {
 			graph = snap.Graph()
 			hot = graph.Hot(cfg.Roots, cfg.ColdFuncs)

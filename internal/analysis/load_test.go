@@ -78,6 +78,19 @@ func TestLoadDirAllExcluded(t *testing.T) {
 	}
 }
 
+// TestLoadDirMissingImport: an import that is neither local nor in the
+// standard library has no export data, so LoadDir returns an error
+// naming it instead of panicking or type-checking against nothing.
+func TestLoadDirMissingImport(t *testing.T) {
+	dir := writeFixturePkg(t, map[string]string{
+		"a.go": "package fix\n\nimport _ \"nosuch/pkg\"\n\nimport \"fmt\"\n\nvar _ = fmt.Sprint\n",
+	})
+	pkg, err := LoadDir(dir, "fix")
+	if err == nil || !strings.Contains(err.Error(), "nosuch/pkg") {
+		t.Errorf("LoadDir over a missing import: pkg = %v, err = %v, want an error naming nosuch/pkg", pkg, err)
+	}
+}
+
 // TestLoadDirMalformedConstraint: an unparsable //go:build line does
 // not exclude the file (the type checker owns the diagnostic).
 func TestLoadDirMalformedConstraint(t *testing.T) {

@@ -37,10 +37,8 @@ import (
 func NewNilness(scope []string) *Pass {
 	var prog *ssa.Program
 	return &Pass{
-		Name:    "nilness",
-		Doc:     "provably-nil dereferences and silently discarded errors",
-		Version: 1,
-		Cache:   CacheDeps,
+		Name: "nilness",
+		Doc:  "provably-nil dereferences and silently discarded errors",
 		Init: func(snap *Snapshot) {
 			prog = snap.ValueFlow()
 		},

@@ -303,6 +303,14 @@ func (u *Unit) directive(s *stmt, cursor int64) (int64, error) {
 		u.Symbols[name] = v
 		return nil
 	}
+	// inMemory rejects n data words at cursor unless all of them fall
+	// inside the default memory image, before anything is appended.
+	inMemory := func(n int64) error {
+		if cursor < 0 || cursor > memsys.DefaultWords-n {
+			return errf(s.line, "%s: %d data word(s) at address %d run past the end of memory (%d words)", s.mnem, n, cursor, memsys.DefaultWords)
+		}
+		return nil
+	}
 	switch s.mnem {
 	case ".base":
 		if len(fields) != 1 {
@@ -330,6 +338,9 @@ func (u *Unit) directive(s *stmt, cursor int64) (int64, error) {
 		if err != nil {
 			return cursor, errf(s.line, "bad .word value %q", fields[1])
 		}
+		if err := inMemory(1); err != nil {
+			return cursor, err
+		}
 		if err := def(fields[0], cursor); err != nil {
 			return cursor, err
 		}
@@ -342,6 +353,9 @@ func (u *Unit) directive(s *stmt, cursor int64) (int64, error) {
 		f, err := strconv.ParseFloat(fields[1], 64)
 		if err != nil {
 			return cursor, errf(s.line, "bad .f64 value %q", fields[1])
+		}
+		if err := inMemory(1); err != nil {
+			return cursor, err
 		}
 		if err := def(fields[0], cursor); err != nil {
 			return cursor, err
@@ -372,6 +386,9 @@ func (u *Unit) directive(s *stmt, cursor int64) (int64, error) {
 				if err != nil {
 					return cursor, errf(s.line, "bad %s init %q", s.mnem, fields[2])
 				}
+			}
+			if err := inMemory(n); err != nil {
+				return cursor, err
 			}
 			for i := int64(0); i < n; i++ {
 				u.Data = append(u.Data, Datum{cursor + i, word})

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ruu/internal/isa"
+	"ruu/internal/memsys"
 )
 
 func TestAssembleBasics(t *testing.T) {
@@ -151,7 +152,7 @@ func TestAssembleErrors(t *testing.T) {
 		{"bad f64", ".f64 a pi\nhalt", "bad .f64 value"},
 		{"bad array count", ".array a 0\nhalt", "bad .array count"},
 		{"bad mem operand", "lds S1, S2\nhalt", "bad memory operand"},
-		{"disp overflow", ".base 40000\n.word w 1\nlds S1, =w(A1)\nhalt", "does not fit"},
+		{"disp overflow", ".equ w 40000\nlds S1, =w(A1)\nhalt", "does not fit"},
 		{"bad label", "9lab:\nhalt", "invalid label"},
 		{"bad imm", "lai A1, zz\nhalt", "bad immediate"},
 		{"bad symbol offset", ".array z 4\nlai A1, =z+q\nhalt", "bad symbol offset"},
@@ -169,6 +170,19 @@ func TestAssembleErrors(t *testing.T) {
 	}
 }
 
+// TestAssembleDataFillsMemory: data may run up to the last word of the
+// default memory image, and that image lays out without a panic.
+func TestAssembleDataFillsMemory(t *testing.T) {
+	u, err := Assemble(".array A 28671 7\n.word last 9\nhalt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := u.NewMemory()
+	if got := m.Peek(memsys.DefaultWords - 1); got != 9 {
+		t.Errorf("last word = %d, want 9", got)
+	}
+}
+
 // TestDiagnosticLines pins the source line attached to each diagnostic:
 // ruudfa and lltrace print these positions verbatim, so every error kind
 // must point at the offending line, not just fail.
@@ -183,6 +197,11 @@ func TestDiagnosticLines(t *testing.T) {
 		{"duplicate label", "x:\nnop\nnop\nx:\nhalt", "duplicate label", 4},
 		{"duplicate symbol", ".equ a 1\n.equ a 2\nhalt", "duplicate symbol", 2},
 		{"branch past end", "nop\njmp end\nhalt\nend:", "past the last instruction", 2},
+		{"array past memory", "nop\n.array A 28700 0\nhalt", "past the end of memory", 2},
+		{"word past memory", ".base 40000\nnop\n.word x 1\nhalt", "past the end of memory", 3},
+		{"f64 past memory", ".base 32768\n.f64 x 1.5\nhalt", "past the end of memory", 2},
+		{"huge array", ".array A 2000000000 0\nhalt", "past the end of memory", 1},
+		{"array wraps the cursor", ".array A 0x7fffffffffffffff\n.word x 1\nhalt", "past the end of memory", 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

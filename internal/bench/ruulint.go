@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,25 +26,8 @@ var (
 
 // lintModule loads the repository once for the lint benchmarks.
 func lintModule(b B) *analysis.Module {
-	lintModOnce.Do(func() {
-		dir, err := os.Getwd()
-		if err != nil {
-			lintModErr = err
-			return
-		}
-		for {
-			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-				break
-			}
-			parent := filepath.Dir(dir)
-			if parent == dir {
-				lintModErr = fmt.Errorf("no go.mod above the working directory")
-				return
-			}
-			dir = parent
-		}
-		lintMod, lintModErr = analysis.Load(dir)
-	})
+	root := moduleRootDir(b)
+	lintModOnce.Do(func() { lintMod, lintModErr = analysis.Load(root) })
 	if lintModErr != nil {
 		b.Fatal(lintModErr)
 	}
@@ -85,42 +67,6 @@ func benchRuulintCheckOnly(b B, n int) {
 	if findings != 0 {
 		b.Fatalf("lint benchmark found %d findings on the tree", findings)
 	}
-}
-
-// benchRuulintWarm measures the incremental-cache fast path: a cold
-// CheckCached populates a scratch cache outside the timer, then every
-// iteration answers the unchanged tree entirely from cache (scan +
-// key probe, no load, no pass runs). The ruulint_warm_ns metric is the
-// steady-state cost of `make lint` on an unchanged tree — the v4 cache
-// moves that from the ruulint_ns regime (seconds) to milliseconds.
-func benchRuulintWarm(b B, n int) {
-	b.Helper()
-	root := moduleRootDir(b)
-	cacheDir, err := os.MkdirTemp("", "ruulint-warm-bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(cacheDir)
-	passes := analysis.DefaultPasses("ruu")
-	if _, _, _, err := analysis.CheckCached(root, cacheDir, passes, true); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var findings int
-	for i := 0; i < n; i++ {
-		fs, _, stats, err := analysis.CheckCached(root, cacheDir, passes, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !stats.FullHit {
-			b.Fatalf("warm iteration missed the cache (%d misses)", stats.Misses)
-		}
-		findings = len(fs)
-	}
-	if findings != 0 {
-		b.Fatalf("lint benchmark found %d findings on the tree", findings)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ruulint_warm_ns")
 }
 
 // moduleRootDir resolves the repo root without caching the load.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"net/http"
 	"sort"
 
@@ -100,13 +99,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		name = "asm"
 		unit, err = asm.Assemble(req.Asm)
 		if err != nil {
-			var aerr *asm.Error
-			if errors.As(err, &aerr) {
-				writeJSON(w, http.StatusUnprocessableEntity,
-					apiError{Error: aerr.Error(), File: aerr.File, Line: aerr.Line})
-				return
-			}
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
+			writeUnprocessable(w, err)
 			return
 		}
 	case req.Kernel != "":

@@ -172,7 +172,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, it := range req.Items {
 		j, err := buildBatchJob(it)
 		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "item %d: %v", i, err)
+			writeUnprocessable(w, fmt.Errorf("item %d: %w", i, err))
 			return
 		}
 		jobs[i] = j

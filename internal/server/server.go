@@ -204,6 +204,18 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeUnprocessable writes err as a 422. An assembler error anywhere
+// in its chain also fills File and Line, so a client can point at the
+// offending source line.
+func writeUnprocessable(w http.ResponseWriter, err error) {
+	body := apiError{Error: err.Error()}
+	var aerr *asm.Error
+	if errors.As(err, &aerr) {
+		body.File, body.Line = aerr.File, aerr.Line
+	}
+	writeJSON(w, http.StatusUnprocessableEntity, body)
+}
+
 // decode reads a size-limited body holding exactly one JSON value,
 // mapping oversize bodies to 413 and malformed JSON, or bytes after the
 // value, to 400. It reports whether the request can proceed.
@@ -333,13 +345,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	case req.Asm != "":
 		unit, err = ruu.Assemble(req.Asm)
 		if err != nil {
-			var aerr *asm.Error
-			if errors.As(err, &aerr) {
-				writeJSON(w, http.StatusUnprocessableEntity,
-					apiError{Error: aerr.Error(), File: aerr.File, Line: aerr.Line})
-				return
-			}
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
+			writeUnprocessable(w, err)
 			return
 		}
 	case req.Kernel != "":

@@ -104,6 +104,37 @@ func TestMalformedAsmIs422WithLine(t *testing.T) {
 	}
 }
 
+// TestDataPastMemoryIs422WithLine: a data image larger than memory is
+// an assembler diagnostic on its line, on every route that assembles,
+// not a panic while the image is laid out.
+func TestDataPastMemoryIs422WithLine(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, p := range []struct {
+		src  string
+		line int
+	}{
+		{"    nop\n.array A 28700 0\n    halt\n", 2},
+		{"    nop\n.base 40000\n.word x 1\n    halt\n", 3},
+	} {
+		for _, c := range []struct {
+			path string
+			body any
+		}{
+			{"/v1/simulate", map[string]any{"asm": p.src}},
+			{"/v1/analyze", map[string]any{"asm": p.src}},
+			{"/v1/batch", map[string]any{"items": []map[string]any{{"kernel": "LLL1"}, {"asm": p.src}}}},
+		} {
+			rec := postJSON(t, s.Handler(), c.path, c.body)
+			if rec.Code != http.StatusUnprocessableEntity {
+				t.Fatalf("%s: status %d, want 422: %s", c.path, rec.Code, rec.Body)
+			}
+			if e := decodeBody[apiError](t, rec); e.Line != p.line {
+				t.Errorf("%s: diagnostic line = %d, want %d (%+v)", c.path, e.Line, p.line, e)
+			}
+		}
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cases := []struct {
