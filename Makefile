@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-json bench-smoke lint lint-fix-check dfa analyze serve quickstart-http
+.PHONY: all build test race fuzz-smoke vet bench bench-json bench-smoke lint lint-fix-check dfa analyze serve quickstart-http
 
 all: build test vet lint analyze
 
@@ -10,8 +10,21 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs the whole suite under the race detector, then the three
+# concurrent service packages twice more: with no lint pass over their
+# locking, the race detector is what guards which fields each mutex
+# protects (go vet's copylocks covers copied locks).
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 ./internal/sched ./internal/server ./internal/store
+
+# fuzz-smoke gives each fuzz target 10 s of fuzzing: the assembler
+# (FuzzAssemble) and the parcel decoder (FuzzDecode). Plain `go test`
+# runs only their committed seeds; a crasher found here is written
+# under the package's testdata/fuzz and fails every later `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/asm
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/isa
 
 vet:
 	$(GO) vet ./...

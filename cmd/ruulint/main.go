@@ -1,17 +1,15 @@
 // Command ruulint runs the repository's static-analysis passes
-// (internal/analysis) over the module: determinism hygiene in
-// simulation packages, obs probe coverage in the issue engines, the
-// precise-state mutation discipline, hot-path allocation freedom, enum
-// switch exhaustiveness, paper-constant conformance, the service-layer
-// concurrency and HTTP-contract passes (mutexguard, ctxflow,
-// goroutineleak, httpcontract), the SSA value-flow passes (nilness,
-// policycontract), plus the suppression meta-pass.
+// (internal/analysis) over the module. They guard the paper's
+// invariants: determinism hygiene in simulation packages, obs probe
+// coverage in the issue engines, the precise-state mutation
+// discipline, the engine/policy contract (policycontract, on the SSA
+// layer), hot-path allocation freedom, enum switch exhaustiveness and
+// paper-constant conformance, plus the suppression meta-pass.
 //
 // Usage:
 //
 //	ruulint ./...              # whole module (the only supported pattern)
 //	ruulint -list              # describe the passes
-//	ruulint -passes precisestate,probeemit ./...
 //	ruulint -json ./...        # one JSON object per finding per line
 //	ruulint -out f.json -sarif f.sarif ./...   # machine formats, one load
 //	ruulint -timings ./...     # wall-clock summary on stderr
@@ -47,13 +45,10 @@ import (
 )
 
 func main() {
-	var (
-		list   = flag.Bool("list", false, "list the passes and exit")
-		passes = flag.String("passes", "", "comma-separated pass names to run (default: all)")
-	)
+	list := flag.Bool("list", false, "list the passes and exit")
 	out := analysis.RegisterOutputFlags(flag.CommandLine)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ruulint [-list] [-json] [-out file] [-sarif file] [-timings] [-timings-out file] [-passes p1,p2] [./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: ruulint [-list] [-json] [-out file] [-sarif file] [-timings] [-timings-out file] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -82,11 +77,8 @@ func main() {
 		fatal(err)
 	}
 	loadElapsed := time.Since(start)
-	selected, err := selectPasses(analysis.DefaultPasses(mod.Path), *passes)
-	if err != nil {
-		fatal(err)
-	}
-	findings, passTimings := analysis.CheckSnapshot(analysis.NewSnapshot(mod.Packages), selected)
+	passes := analysis.DefaultPasses(mod.Path)
+	findings, passTimings := analysis.CheckSnapshot(analysis.NewSnapshot(mod.Packages), passes)
 	report := analysis.NewTimingsReport("ruulint", time.Since(start), loadElapsed, passTimings, len(findings))
 
 	cwd, _ := os.Getwd()
@@ -103,7 +95,7 @@ func main() {
 		}
 	}
 	if out.SARIF != "" {
-		b, err := analysis.MarshalSARIF(findings, selected, root)
+		b, err := analysis.MarshalSARIF(findings, passes, root)
 		if err != nil {
 			fatal(err)
 		}
@@ -184,26 +176,6 @@ func moduleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-func selectPasses(all []*analysis.Pass, names string) ([]*analysis.Pass, error) {
-	if names == "" {
-		return all, nil
-	}
-	byName := map[string]*analysis.Pass{}
-	for _, p := range all {
-		byName[p.Name] = p
-	}
-	var out []*analysis.Pass
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		p, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown pass %q (try -list)", n)
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

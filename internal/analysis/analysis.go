@@ -13,7 +13,7 @@
 // every configuration, so the disciplines scale with the codebase
 // instead of with reviewer attention. See docs/ANALYSIS.md.
 //
-// Eleven passes ship (see their files for details, and docs/ANALYSIS.md
+// Seven passes ship (see their files for details, and docs/ANALYSIS.md
 // for the catalog). Three are syntactic invariant checks over the
 // simulation core:
 //
@@ -35,23 +35,18 @@
 //   - paperconst: model constants match internal/isa/paperconst.go; no
 //     drifted or restated magic numbers.
 //
-// Four cover the concurrent service layer (internal/sched,
-// internal/server, internal/obs, internal/store, cmd/ruuserve):
+// The seventh, policycontract, adds per-function SSA (package ssa) to
+// the call graph: a state mutation outside the audited commit path
+// must target state built in the same function, engines emit probe
+// events only through the nil-guarded helpers, and no map iteration
+// orders an engine's issue surface.
 //
-//   - mutexguard: inferred and annotated guarded-by relations for
-//     mutex-bearing structs; no unguarded access, lock copying, or
-//     unlock-without-lock.
-//   - ctxflow: context.Context threads request paths (first parameter,
-//     never a struct field, no context.Background below the handler
-//     boundary, no ctx-less blocking selects).
-//   - goroutineleak: every go statement has a visible termination path
-//     and no send without a guaranteed receiver.
-//   - httpcontract: handlers write exactly one status per path, set
-//     Content-Type before the body, map client cancellation to 499,
-//     and route errors through the shared JSON error writer.
-//
-// The eleventh, "suppression", lints the linter's own suppression
+// An eighth, "suppression", lints the linter's own suppression
 // markers (see suppress.go).
+//
+// The service layer (internal/sched, internal/server, internal/store)
+// is guarded by its tests, go vet and the race detector instead of by
+// passes here: see docs/ANALYSIS.md.
 //
 // A finding on a line carrying (or immediately preceded by) a comment
 // of the form "//ruulint:ok <pass> <justification>" is suppressed for

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sync"
 )
 
 // This file builds the lightweight dataflow layer the allocation pass
@@ -30,11 +29,9 @@ type CallGraph struct {
 	// namedTypes are all named (non-interface) types declared in the
 	// loaded packages, the RTA universe for interface dispatch.
 	namedTypes []*types.Named
-	// implMu guards implCache: resolution happens both during the
-	// single-threaded build and later from Callees, which concurrent
-	// passes may call through the snapshot's value-flow program.
-	implMu sync.Mutex
-	// implCache memoizes interface-method resolution.
+	// implCache memoizes interface-method resolution. It is written
+	// only while BuildCallGraph runs, so the finished graph is
+	// read-only and safe to share between passes.
 	implCache map[*types.Func][]*types.Func
 }
 
@@ -159,16 +156,10 @@ func (g *CallGraph) collectEdges(n *cgNode) {
 	walk(n.decl.Body, false, false)
 }
 
-// Callees resolves a call expression to the function objects it may
+// callees resolves a call expression to the function objects it may
 // invoke: one for a static call, every module implementation for an
 // interface-method call, none for builtins and calls through plain
-// function values. This is the resolver the snapshot's value-flow
-// program injects into the ssa package. Safe for concurrent use.
-func (g *CallGraph) Callees(info *types.Info, call *ast.CallExpr) []*types.Func {
-	return g.callees(info, call)
-}
-
-// callees is the internal resolver behind Callees.
+// function values.
 func (g *CallGraph) callees(info *types.Info, call *ast.CallExpr) []*types.Func {
 	fun := ast.Unparen(call.Fun)
 	// A generic call f[T](...) or f[T1, T2](...) instantiates through
@@ -227,8 +218,6 @@ func isFuncExpr(info *types.Info, e ast.Expr) bool {
 // implementations resolves an interface method to the corresponding
 // concrete method of every module type implementing the interface.
 func (g *CallGraph) implementations(m *types.Func, itf *types.Interface) []*types.Func {
-	g.implMu.Lock()
-	defer g.implMu.Unlock()
 	if out, ok := g.implCache[m]; ok {
 		return out
 	}
@@ -259,16 +248,6 @@ func (g *CallGraph) Lookup(pkgPath, recv, name string) *types.Func {
 		}
 	}
 	return nil
-}
-
-// Decl returns the declaration node and package of a graph function,
-// or nil when fn is not in the graph (no body in the loaded packages).
-func (g *CallGraph) Decl(fn *types.Func) (*ast.FuncDecl, *Package) {
-	n := g.nodes[fn]
-	if n == nil {
-		return nil, nil
-	}
-	return n.decl, n.pkg
 }
 
 // Hot computes the set of fully hot functions: everything reachable

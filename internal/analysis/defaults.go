@@ -21,35 +21,6 @@ var SimPackages = []string{
 	"internal/server",
 }
 
-// ServicePackages lists the concurrent service-layer packages
-// (relative to the module path): the worker pool, the HTTP API, the
-// metrics registry, the persistent result store, and the serving
-// binary. The mutexguard, ctxflow, and goroutineleak passes run over
-// these — the layer where a concurrency bug reaches every request
-// instead of staying a local curiosity. internal/store is deliberately
-// NOT in SimPackages: it does wall-clock-free disk I/O that cannot
-// influence simulation results, which stay content-addressed.
-var ServicePackages = []string{
-	"internal/sched",
-	"internal/server",
-	"internal/obs",
-	"internal/store",
-	"cmd/ruuserve",
-}
-
-// NilnessPackages lists the packages (relative to the module path) the
-// nilness value-flow pass runs over: the service layer and the command
-// binaries, where pointers and errors cross API boundaries. The
-// simulation core is excluded by design — its invariants are enforced
-// by the engine-specific passes, and its inner loops use nil probes and
-// nil tables as deliberate sentinels.
-var NilnessPackages = []string{
-	"internal/sched",
-	"internal/server",
-	"internal/obs",
-	"cmd",
-}
-
 // EnginePackages lists the packages holding issue engines (relative to
 // the module path); the probeemit and precisestate passes run over
 // these.
@@ -188,11 +159,6 @@ func DefaultPasses(modulePath string) []*Pass {
 		}),
 		NewExhaustive([]string{modulePath}),
 		NewPaperConst(DefaultPaperSpec(modulePath)),
-		NewMutexGuard(prefix(ServicePackages)...),
-		NewCtxFlow(prefix(ServicePackages)...),
-		NewGoroutineLeak(prefix(ServicePackages)...),
-		NewHTTPContract(modulePath + "/internal/server"),
-		NewNilness(prefix(NilnessPackages)),
 		NewPolicyContract(allow, prefix(EnginePackages)...),
 	}
 	names := make([]string, 0, len(passes)+1)

@@ -5,9 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
-
-	"ruu/internal/analysis/ssa"
 )
 
 // The hotpathalloc pass statically checks the simulator's noalloc
@@ -67,7 +64,6 @@ func NewHotPathAlloc(cfg HotPathConfig) *Pass {
 	}
 	var graph *CallGraph
 	var hot map[*types.Func]bool
-	var prog *ssa.Program
 	loopRoots := map[*types.Func]bool{}
 	return &Pass{
 		Name: "hotpathalloc",
@@ -75,7 +71,6 @@ func NewHotPathAlloc(cfg HotPathConfig) *Pass {
 		Init: func(snap *Snapshot) {
 			graph = snap.Graph()
 			hot = graph.Hot(cfg.Roots, cfg.ColdFuncs)
-			prog = snap.ValueFlow()
 			for _, r := range cfg.Roots {
 				if r.LoopOnly {
 					if fn := graph.Lookup(r.Pkg, r.Recv, r.Func); fn != nil {
@@ -102,7 +97,6 @@ func NewHotPathAlloc(cfg HotPathConfig) *Pass {
 				if nilFastPath(pkg, fd) {
 					continue
 				}
-				sf := prog.FuncOf(ssa.Source{Decl: fd, Fset: pkg.Fset, Info: pkg.Info})
 				s := &allocScanner{
 					pkg:         pkg,
 					cold:        cold,
@@ -112,7 +106,7 @@ func NewHotPathAlloc(cfg HotPathConfig) *Pass {
 						out = append(out, Finding{
 							Pass:    "hotpathalloc",
 							Pos:     pkg.Pos(n),
-							Message: fmt.Sprintf(format, args...) + escapeNote(prog, sf, n),
+							Message: fmt.Sprintf(format, args...),
 						})
 					},
 				}
@@ -121,37 +115,6 @@ func NewHotPathAlloc(cfg HotPathConfig) *Pass {
 			return out
 		},
 	}
-}
-
-// escapeNote runs the SSA escape analysis on an allocation finding's
-// node and renders the value-flow route as a message suffix — the
-// *why* behind the finding. Non-allocation sites (fmt calls, boxing,
-// string concatenation) and values the analysis proves frame-local get
-// no suffix: the finding itself is unchanged either way, the note only
-// explains it.
-func escapeNote(prog *ssa.Program, f *ssa.Func, n ast.Node) string {
-	if prog == nil || f == nil {
-		return ""
-	}
-	var alloc ast.Expr
-	switch n := n.(type) {
-	case *ast.UnaryExpr: // &T{}
-		alloc = n
-	case *ast.CompositeLit: // slice/map literal
-		alloc = n
-	case *ast.CallExpr: // make/new (fmt calls resolve non-escaping contexts anyway)
-		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); !ok || (id.Name != "make" && id.Name != "new") {
-			return ""
-		}
-		alloc = n
-	default:
-		return ""
-	}
-	esc := prog.Escapes(f, alloc)
-	if !esc.Escapes || len(esc.Path) == 0 {
-		return ""
-	}
-	return "; escapes: " + strings.Join(esc.Path, " -> ")
 }
 
 // allocScanner walks one hot function body reporting allocation sites.

@@ -50,20 +50,18 @@ import (
 // scope, sharing the audited-mutator allowlist with precisestate.
 func NewPolicyContract(allow Allowlist, scope ...string) *Pass {
 	var graph *CallGraph
-	var prog *ssa.Program
 	return &Pass{
 		Name: "policycontract",
 		Doc:  "engine/policy interface rules: state-origin, probe discipline, issue-order determinism",
 		Init: func(snap *Snapshot) {
 			graph = snap.Graph()
-			prog = snap.ValueFlow()
 		},
 		Run: func(pkg *Package) []Finding {
 			if graph == nil || !inScope(pkg.Path, scope) {
 				return nil
 			}
 			var out []Finding
-			out = append(out, checkStateOrigin(pkg, graph, prog, allow)...)
+			out = append(out, checkStateOrigin(pkg, graph, allow)...)
 			out = append(out, checkProbeDiscipline(pkg)...)
 			out = append(out, checkIssueOrderDeterminism(pkg)...)
 			return out
@@ -73,7 +71,7 @@ func NewPolicyContract(allow Allowlist, scope ...string) *Pass {
 
 // checkStateOrigin implements rule 1: mutations outside the audited
 // set must target locally constructed state.
-func checkStateOrigin(pkg *Package, graph *CallGraph, prog *ssa.Program, allow Allowlist) []Finding {
+func checkStateOrigin(pkg *Package, graph *CallGraph, allow Allowlist) []Finding {
 	var out []Finding
 	for _, fd := range funcDecls(pkg) {
 		if fd.Body == nil || allow.allowed(pkg.Path, fd.Name.Name) {
@@ -91,7 +89,7 @@ func checkStateOrigin(pkg *Package, graph *CallGraph, prog *ssa.Program, allow A
 				return true
 			}
 			if sf == nil {
-				sf = prog.FuncOf(ssa.Source{Decl: fd, Fset: pkg.Fset, Info: pkg.Info})
+				sf = ssa.Build(fd, pkg.Fset, pkg.Info)
 			}
 			if receiverIsLocal(pkg, sf, call) {
 				return true // a shadow copy built in this function: not architectural state

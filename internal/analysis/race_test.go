@@ -7,10 +7,9 @@ import (
 
 // TestPassesShareSnapshotConcurrently drives every default pass in its
 // own goroutine over one shared Snapshot of the real tree. The shared
-// surfaces — the call graph and SSA program behind sync.Once, the
-// implementation cache behind implMu, per-Func lazy block maps — must
-// hold up under -race; any unsynchronized lazy state in a pass shows up
-// here before it shows up as a corrupted CI run.
+// surface — the call graph behind sync.Once, read-only once built —
+// must hold up under -race; any unsynchronized lazy state in a pass
+// shows up here before it shows up as a corrupted CI run.
 func TestPassesShareSnapshotConcurrently(t *testing.T) {
 	mod := loadRepo(t)
 	snap := NewSnapshot(mod.Packages)

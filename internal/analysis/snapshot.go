@@ -1,48 +1,28 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-	"sync"
-
-	"ruu/internal/analysis/ssa"
-)
+import "sync"
 
 // Snapshot is one loaded, type-checked view of the packages under
-// analysis plus the expensive derived structures the passes share.
-// Before the snapshot existed every dataflow pass built its own module
-// call graph (and the lint driver was invoked once per output format,
-// re-parsing and re-type-checking the whole module each time); now a
-// single Load feeds a single Snapshot, the call graph is built at most
-// once, and every pass — and every output format — runs off the same
-// in-memory state. The BenchmarkRuulint* pair in internal/bench tracks
-// the wall-clock effect as the ruulint_ns trajectory point.
+// analysis plus the one expensive derived structure the passes share:
+// the module call graph, built at most once per load. A single Load
+// feeds a single Snapshot, and every pass — and every output format —
+// runs off the same in-memory state. Per-function SSA is not shared:
+// policycontract builds it with ssa.Build, only for the functions that
+// contain a mutator call. BenchmarkRuulint in internal/bench tracks
+// the wall-clock cost as the ruulint_ns trajectory point.
 type Snapshot struct {
 	// Packages are the packages under analysis, in load order (sorted
 	// by import path).
 	Packages []*Package
 
-	byPath map[string]*Package
-
 	graphOnce sync.Once
 	graph     *CallGraph
-
-	vfOnce sync.Once
-	vf     *ssa.Program
 }
 
 // NewSnapshot wraps the packages for shared analysis.
 func NewSnapshot(pkgs []*Package) *Snapshot {
-	s := &Snapshot{Packages: pkgs, byPath: make(map[string]*Package, len(pkgs))}
-	for _, p := range pkgs {
-		s.byPath[p.Path] = p
-	}
-	return s
+	return &Snapshot{Packages: pkgs}
 }
-
-// ByPath returns the loaded package with the given import path, nil
-// when absent.
-func (s *Snapshot) ByPath(path string) *Package { return s.byPath[path] }
 
 // Graph returns the module call graph, building it on first use and
 // sharing it across every pass of this snapshot. Safe for concurrent
@@ -52,27 +32,4 @@ func (s *Snapshot) Graph() *CallGraph {
 		s.graph = BuildCallGraph(s.Packages)
 	})
 	return s.graph
-}
-
-// ValueFlow returns the snapshot's interprocedural SSA view, lazily
-// built over the call graph. The two resolver closures are the only
-// coupling between the ssa package and the analysis layer: ssa never
-// imports analysis.
-func (s *Snapshot) ValueFlow() *ssa.Program {
-	s.vfOnce.Do(func() {
-		g := s.Graph()
-		s.vf = ssa.NewProgram(
-			func(fn *types.Func) (ssa.Source, bool) {
-				decl, pkg := g.Decl(fn)
-				if decl == nil {
-					return ssa.Source{}, false
-				}
-				return ssa.Source{Decl: decl, Fset: pkg.Fset, Info: pkg.Info}, true
-			},
-			func(info *types.Info, call *ast.CallExpr) []*types.Func {
-				return g.Callees(info, call)
-			},
-		)
-	})
-	return s.vf
 }

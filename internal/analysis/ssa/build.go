@@ -20,9 +20,7 @@ func Build(decl *ast.FuncDecl, fset *token.FileSet, info *types.Info) *Func {
 		Info:   info,
 		UseDef: map[*ast.Ident]*Def{},
 		Defs:   map[*types.Var][]*Def{},
-		parent: map[ast.Node]ast.Node{},
 	}
-	buildParents(fn, decl)
 	tracked := collectTracked(fn, decl)
 
 	entry := buildCFG(fn)
@@ -33,23 +31,6 @@ func Build(decl *ast.FuncDecl, fset *token.FileSet, info *types.Info) *Func {
 	b.placePhis()
 	b.rename()
 	return fn
-}
-
-// buildParents records the immediate syntactic parent of every node
-// under decl.
-func buildParents(fn *Func, decl *ast.FuncDecl) {
-	var stack []ast.Node
-	ast.Inspect(decl, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			fn.parent[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
 }
 
 // collectTracked gathers the variables the builder promotes to SSA:
@@ -110,7 +91,7 @@ func collectTracked(fn *Func, decl *ast.FuncDecl) map[*types.Var]bool {
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				if id, ok := unparen(n.X).(*ast.Ident); ok {
+				if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 					if v := fn.ObjOf(id); v != nil {
 						drop[v] = true
 					}
@@ -173,7 +154,7 @@ func (b *builder) forEachDef(n ast.Node, f func(v *types.Var)) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		for _, l := range n.Lhs {
-			if id, ok := unparen(l).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(l).(*ast.Ident); ok {
 				if v := b.trackedObj(id); v != nil {
 					f(v)
 				}
@@ -196,7 +177,7 @@ func (b *builder) forEachDef(n ast.Node, f func(v *types.Var)) {
 			}
 		}
 	case *ast.IncDecStmt:
-		if id, ok := unparen(n.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 			if v := b.trackedObj(id); v != nil {
 				f(v)
 			}
@@ -206,7 +187,7 @@ func (b *builder) forEachDef(n ast.Node, f func(v *types.Var)) {
 			if e == nil {
 				continue
 			}
-			if id, ok := unparen(e).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 				if v := b.trackedObj(id); v != nil {
 					f(v)
 				}
@@ -415,7 +396,7 @@ func (b *builder) renameNode(blk *Block, n ast.Node, push func(*Def)) {
 			}
 		}
 		for i, l := range n.Lhs {
-			id, ok := unparen(l).(*ast.Ident)
+			id, ok := ast.Unparen(l).(*ast.Ident)
 			if !ok {
 				continue
 			}
@@ -463,7 +444,7 @@ func (b *builder) renameNode(blk *Block, n ast.Node, push func(*Def)) {
 		}
 	case *ast.IncDecStmt:
 		b.uses(n.X)
-		if id, ok := unparen(n.X).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 			if v := b.trackedObj(id); v != nil {
 				push(&Def{Var: v, Block: blk, Kind: DefAssign, Node: n})
 			}
@@ -482,7 +463,7 @@ func (b *builder) renameNode(blk *Block, n ast.Node, push func(*Def)) {
 			if e == nil {
 				continue
 			}
-			if id, ok := unparen(e).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 				if v := b.trackedObj(id); v != nil {
 					push(&Def{Var: v, Block: blk, Kind: DefRange, Node: n})
 				}
@@ -528,7 +509,7 @@ func (b *builder) uses(n ast.Node) {
 // and base of a[i], the receiver of x.f, the pointer of *p. A bare
 // identifier target is a pure definition and records nothing.
 func (b *builder) lhsUses(l ast.Expr) {
-	if _, ok := unparen(l).(*ast.Ident); ok {
+	if _, ok := ast.Unparen(l).(*ast.Ident); ok {
 		return
 	}
 	b.uses(l)

@@ -3,13 +3,12 @@
 // built per function from the already type-checked tree the analysis
 // loader produces.
 //
-// The passes above it reason about *values*, not syntax: where an
-// allocated object flows (escape analysis behind hotpathalloc's
-// finding messages), whether a pointer is provably nil at a deref
-// (the nilness pass), and whether an architectural-state value reaches
-// a mutation site off the audited commit path (policycontract). The
-// RTA call graph (internal/analysis/callgraph.go) answered "who calls
-// whom"; this package answers "where does this value go".
+// Its one client is policycontract, which asks whether the receiver
+// of an architectural-state mutation outside the audited commit path
+// was built in the same function (a shadow copy) or flowed in from the
+// engine. The RTA call graph (internal/analysis/callgraph.go) answers
+// "who calls whom"; this package answers "where did this value come
+// from".
 //
 // The IR is variable-level SSA in the classic construction: a per-
 // function control-flow graph of basic blocks, a dominator tree
@@ -28,7 +27,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sync"
 )
 
 // Func is the SSA-form view of one declared function or method.
@@ -59,11 +57,6 @@ type Func struct {
 	// (goto); its chains exist but may be incomplete, and clients that
 	// need soundness should skip it.
 	Approx bool
-
-	parent map[ast.Node]ast.Node
-
-	blockOfOnce sync.Once
-	blockOf     map[ast.Node]*Block
 }
 
 // Block is one basic block: straight-line statements (and the
@@ -154,20 +147,6 @@ type Def struct {
 	Num int
 }
 
-// Pos returns the definition's source position (the variable's
-// position for params and phis).
-func (d *Def) Pos() token.Pos {
-	if d.Node != nil {
-		return d.Node.Pos()
-	}
-	return d.Var.Pos()
-}
-
-// Parent returns the immediate syntactic parent of a node within the
-// function body, or nil at the body root. The parent map covers every
-// node under Decl, including closure bodies.
-func (f *Func) Parent(n ast.Node) ast.Node { return f.parent[n] }
-
 // ObjOf resolves an identifier to the variable it uses or defines.
 func (f *Func) ObjOf(id *ast.Ident) *types.Var {
 	if v, ok := f.Info.Uses[id].(*types.Var); ok {
@@ -177,120 +156,4 @@ func (f *Func) ObjOf(id *ast.Ident) *types.Var {
 		return v
 	}
 	return nil
-}
-
-// UsesOf returns every identifier whose reaching definition is d, in
-// source order. The map is built lazily on first call.
-func (f *Func) UsesOf(d *Def) []*ast.Ident {
-	var out []*ast.Ident
-	for id, dd := range f.UseDef {
-		if dd == d {
-			out = append(out, id)
-		}
-	}
-	sortIdents(out)
-	return out
-}
-
-// PhisOver returns every phi definition that carries d as an operand,
-// directly merging it into a later version.
-func (f *Func) PhisOver(d *Def) []*Def {
-	var out []*Def
-	for _, defs := range f.Defs {
-		for _, cand := range defs {
-			if cand.Kind != DefPhi {
-				continue
-			}
-			for _, a := range cand.Args {
-				if a == d {
-					out = append(out, cand)
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// CondNilCheck inspects a block's controlling condition for the form
-// `x == nil` or `x != nil` with x a tracked identifier. It returns the
-// reaching definition of x and whether the TRUE edge is the nil side.
-func (f *Func) CondNilCheck(b *Block) (d *Def, nilOnTrue bool, ok bool) {
-	be, isBin := unparen(b.Cond).(*ast.BinaryExpr)
-	if !isBin || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return nil, false, false
-	}
-	id, other := identOperand(be)
-	if id == nil || !isNilExpr(f.Info, other) {
-		return nil, false, false
-	}
-	d, found := f.UseDef[id]
-	if !found {
-		return nil, false, false
-	}
-	return d, be.Op == token.EQL, true
-}
-
-// BlockOf returns the basic block containing node n (or the block
-// whose decomposed header carries it), nil when n sits in unreachable
-// code or outside the reachable CFG. The node→block index is built on
-// first call.
-func (f *Func) BlockOf(n ast.Node) *Block {
-	f.blockOfOnce.Do(func() {
-		f.blockOf = map[ast.Node]*Block{}
-		for _, b := range f.Blocks {
-			for _, node := range b.Nodes {
-				f.blockOf[node] = b
-			}
-		}
-	})
-	for cur := n; cur != nil; cur = f.parent[cur] {
-		if b, ok := f.blockOf[cur]; ok {
-			return b
-		}
-	}
-	return nil
-}
-
-// Dominates reports whether block a dominates block b.
-func Dominates(a, b *Block) bool {
-	for ; b != nil; b = b.Idom {
-		if a == b {
-			return true
-		}
-	}
-	return false
-}
-
-func identOperand(be *ast.BinaryExpr) (id *ast.Ident, other ast.Expr) {
-	if x, ok := unparen(be.X).(*ast.Ident); ok {
-		return x, be.Y
-	}
-	if y, ok := unparen(be.Y).(*ast.Ident); ok {
-		return y, be.X
-	}
-	return nil, nil
-}
-
-func isNilExpr(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && tv.IsNil()
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-func sortIdents(ids []*ast.Ident) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j].Pos() < ids[j-1].Pos(); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

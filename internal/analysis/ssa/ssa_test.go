@@ -6,7 +6,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 	"testing"
 )
 
@@ -56,6 +55,17 @@ func varNamed(t *testing.T, f *Func, name string) *types.Var {
 	return nil
 }
 
+// usesOf returns the identifiers whose reaching definition is d.
+func usesOf(f *Func, d *Def) []*ast.Ident {
+	var out []*ast.Ident
+	for id, dd := range f.UseDef {
+		if dd == d {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 func TestStraightLineDefUse(t *testing.T) {
 	f, _, _ := parseFunc(t, `package p
 func f(a int) int {
@@ -74,7 +84,7 @@ func f(a int) int {
 	if d.Kind != DefAssign || d.Rhs == nil {
 		t.Fatalf("x def: kind=%v rhs=%v", d.Kind, d.Rhs)
 	}
-	uses := f.UsesOf(d)
+	uses := usesOf(f, d)
 	if len(uses) != 1 || uses[0].Name != "x" {
 		t.Fatalf("uses of x's def = %v, want the one use in y := x*2", uses)
 	}
@@ -191,7 +201,7 @@ func f(xs []int, mode int) int {
 	if rangeDef == nil {
 		t.Fatal("range binding produced no DefRange")
 	}
-	if got := len(f.UsesOf(rangeDef)); got != 2 {
+	if got := len(usesOf(f, rangeDef)); got != 2 {
 		t.Fatalf("uses of range v = %d, want 2", got)
 	}
 }
@@ -238,40 +248,9 @@ loop:
 	}
 }
 
-func TestCondNilCheck(t *testing.T) {
-	f, _, _ := parseFunc(t, `package p
-type T struct{ v int }
-func f(p *T) int {
-	if p == nil {
-		return 0
-	}
-	return p.v
-}`, "f")
-	var checked *Block
-	for _, b := range f.Blocks {
-		if b.Cond != nil {
-			checked = b
-		}
-	}
-	if checked == nil {
-		t.Fatal("no conditional block")
-	}
-	d, nilOnTrue, ok := f.CondNilCheck(checked)
-	if !ok {
-		t.Fatal("nil check not recognized")
-	}
-	if !nilOnTrue {
-		t.Fatal("p == nil: true edge should be the nil side")
-	}
-	if d.Kind != DefParam || d.Var.Name() != "p" {
-		t.Fatalf("nil check resolves to %v of %s", d.Kind, d.Var.Name())
-	}
-	// True edge leads to return 0; false edge to return p.v.
-	if len(checked.Succs) != 2 {
-		t.Fatalf("cond block has %d succs", len(checked.Succs))
-	}
-}
-
+// TestDominates checks the dominator tree of an if/else diamond: the
+// entry dominates every block, and it is the immediate dominator of
+// both arms and of the join, so neither arm dominates the other.
 func TestDominates(t *testing.T) {
 	f, _, _ := parseFunc(t, `package p
 func f(c bool) int {
@@ -284,20 +263,34 @@ func f(c bool) int {
 	return x
 }`, "f")
 	entry := f.Blocks[0]
-	for _, b := range f.Blocks {
-		if !Dominates(entry, b) {
+	if entry.Idom != nil {
+		t.Fatalf("entry has an immediate dominator (block %d)", entry.Idom.Index)
+	}
+	for _, b := range f.Blocks[1:] {
+		d := b.Idom
+		for d != nil && d != entry {
+			d = d.Idom
+		}
+		if d != entry {
 			t.Fatalf("entry does not dominate block %d", b.Index)
 		}
 	}
-	// The two arms do not dominate each other or the join.
-	var arms []*Block
+	var arms, joins int
 	for _, b := range f.Blocks {
-		if len(b.Preds) == 1 && b.Preds[0] == entry {
-			arms = append(arms, b)
+		switch {
+		case len(b.Preds) == 1 && b.Preds[0] == entry:
+			arms++
+		case len(b.Preds) == 2:
+			joins++
+		default:
+			continue
+		}
+		if b.Idom != entry {
+			t.Fatalf("block %d: immediate dominator is block %d, want the entry", b.Index, b.Idom.Index)
 		}
 	}
-	if len(arms) == 2 && Dominates(arms[0], arms[1]) {
-		t.Fatal("sibling arms dominate each other")
+	if arms != 2 || joins != 1 {
+		t.Fatalf("diamond has %d arms and %d joins, want 2 and 1", arms, joins)
 	}
 }
 
@@ -328,197 +321,5 @@ outer:
 	}
 	if phis == 0 {
 		t.Fatal("total crosses loop joins with no phi")
-	}
-}
-
-// escapeProgram builds a Program over the test file so interprocedural
-// summaries resolve static calls.
-func escapeProgram(t *testing.T, src string) (*Program, map[string]*ast.FuncDecl, *token.FileSet, *types.Info) {
-	t.Helper()
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "test.go", src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info := &types.Info{
-		Types:     map[ast.Expr]types.TypeAndValue{},
-		Defs:      map[*ast.Ident]types.Object{},
-		Uses:      map[*ast.Ident]types.Object{},
-		Implicits: map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: importer.Default()}
-	if _, err := conf.Check("p", fset, []*ast.File{file}, info); err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	decls := map[string]*ast.FuncDecl{}
-	byObj := map[*types.Func]*ast.FuncDecl{}
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			decls[fd.Name.Name] = fd
-			if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
-				byObj[obj] = fd
-			}
-		}
-	}
-	prog := NewProgram(
-		func(fn *types.Func) (Source, bool) {
-			if fd, ok := byObj[fn]; ok {
-				return Source{Decl: fd, Fset: fset, Info: info}, true
-			}
-			return Source{}, false
-		},
-		func(inf *types.Info, call *ast.CallExpr) []*types.Func {
-			if id, ok := call.Fun.(*ast.Ident); ok {
-				if fn, ok := inf.Uses[id].(*types.Func); ok {
-					return []*types.Func{fn}
-				}
-			}
-			return nil
-		},
-	)
-	return prog, decls, fset, info
-}
-
-// allocExprIn finds the first composite-literal or make/new call in
-// the named function.
-func allocExprIn(t *testing.T, decl *ast.FuncDecl) ast.Expr {
-	t.Helper()
-	var found ast.Expr
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			found = n
-			return false
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "make" || id.Name == "new") {
-				found = n
-				return false
-			}
-		}
-		return true
-	})
-	if found == nil {
-		t.Fatal("no allocation expression found")
-	}
-	return found
-}
-
-func TestEscapeReturned(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-func f() *T {
-	t := &T{v: 1}
-	return t
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-	f := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	esc := prog.Escapes(f, allocExprIn(t, decls["f"]))
-	if !esc.Escapes {
-		t.Fatal("returned allocation reported as non-escaping")
-	}
-	joined := strings.Join(esc.Path, " -> ")
-	if !strings.Contains(joined, "assigned to t") || !strings.Contains(joined, "returned") {
-		t.Fatalf("path %q missing assignment/return steps", joined)
-	}
-}
-
-func TestEscapeLocalOnly(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-func f() int {
-	t := T{v: 1}
-	return t.v
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-	f := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	esc := prog.Escapes(f, allocExprIn(t, decls["f"]))
-	if esc.Escapes {
-		t.Fatalf("frame-local value reported escaping: %v", esc.Path)
-	}
-}
-
-func TestEscapeStoredToField(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-type Box struct{ p *T }
-func f(b *Box) {
-	b.p = &T{v: 1}
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-	f := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	esc := prog.Escapes(f, allocExprIn(t, decls["f"]))
-	if !esc.Escapes {
-		t.Fatal("field store reported as non-escaping")
-	}
-	if !strings.Contains(strings.Join(esc.Path, " "), "stored to b.p") {
-		t.Fatalf("path %v missing field-store step", esc.Path)
-	}
-}
-
-func TestEscapeThroughCall(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-var sink *T
-func keep(t *T) { sink = t }
-func drop(t *T) int { return t.v }
-func f() {
-	a := &T{}
-	keep(a)
-}
-func g() {
-	b := &T{}
-	_ = drop(b)
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-
-	ff := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	escF := prog.Escapes(ff, allocExprIn(t, decls["f"]))
-	if !escF.Escapes {
-		t.Fatal("value stored to a global through keep() reported as non-escaping")
-	}
-	if !strings.Contains(strings.Join(escF.Path, " "), "keep") {
-		t.Fatalf("path %v does not mention keep", escF.Path)
-	}
-
-	fg := prog.FuncOf(Source{Decl: decls["g"], Fset: fset, Info: info})
-	escG := prog.Escapes(fg, allocExprIn(t, decls["g"]))
-	if escG.Escapes {
-		t.Fatalf("value passed to read-only drop() reported escaping: %v", escG.Path)
-	}
-}
-
-func TestEscapeSendOnChannel(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-func f(ch chan *T) {
-	ch <- &T{}
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-	f := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	esc := prog.Escapes(f, allocExprIn(t, decls["f"]))
-	if !esc.Escapes || !strings.Contains(strings.Join(esc.Path, " "), "sent on channel") {
-		t.Fatalf("channel send: escapes=%v path=%v", esc.Escapes, esc.Path)
-	}
-}
-
-func TestEscapePhiMerge(t *testing.T) {
-	src := `package p
-type T struct{ v int }
-func f(c bool) *T {
-	t := &T{v: 1}
-	if c {
-		t = &T{v: 2}
-	}
-	return t
-}`
-	prog, decls, fset, info := escapeProgram(t, src)
-	f := prog.FuncOf(Source{Decl: decls["f"], Fset: fset, Info: info})
-	// The first allocation only reaches the return through the phi.
-	esc := prog.Escapes(f, allocExprIn(t, decls["f"]))
-	if !esc.Escapes {
-		t.Fatalf("phi-merged allocation reported as non-escaping")
 	}
 }

@@ -29,14 +29,13 @@ func TestSuppressionBudget(t *testing.T) {
 		}
 	}
 
-	// The full budget: 14 justified suppressions, all in the two
+	// The full budget: 13 justified suppressions, all in the two
 	// goroutine-bearing service packages (whose concurrency is
-	// individually justified against simdeterminism/ctxflow) and at three
+	// individually justified against simdeterminism) and at three
 	// audited cold-path allocation sites.
 	want := map[string]int{
 		"internal/dfa/bound.go hotpathalloc":        1,
 		"internal/sched/cache.go hotpathalloc":      1,
-		"internal/sched/sched.go ctxflow":           1,
 		"internal/sched/sched.go hotpathalloc":      1,
 		"internal/sched/sched.go simdeterminism":    6,
 		"internal/server/observe.go simdeterminism": 2,

@@ -74,7 +74,7 @@ type Pool struct {
 type job struct {
 	// The queue handoff carries the submitter's ctx to the worker that
 	// eventually runs the job — the one audited place a context rides a
-	// struct, and only for the queue dwell time. //ruulint:ok ctxflow
+	// struct, and only for the queue dwell time.
 	ctx    context.Context
 	key    Key
 	run    func(ctx context.Context) (any, error)

@@ -175,7 +175,9 @@ func TestAnalyzeValidationErrors(t *testing.T) {
 		rec := postJSON(t, s.Handler(), "/v1/analyze", tc.body)
 		if rec.Code != 422 {
 			t.Errorf("%s: status %d, want 422: %s", tc.name, rec.Code, rec.Body.String())
+			continue
 		}
+		wantAPIError(t, rec, 422)
 	}
 }
 

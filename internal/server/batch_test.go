@@ -139,7 +139,9 @@ func TestBatchValidation(t *testing.T) {
 		rec := postJSON(t, h, "/v1/batch", tc.body)
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.want, rec.Body)
+			continue
 		}
+		wantAPIError(t, rec, tc.want)
 	}
 	// A bad item names its index so clients can fix it.
 	rec := postJSON(t, h, "/v1/batch", map[string]any{"items": []map[string]any{
@@ -159,6 +161,7 @@ func TestBatchAdmissionSheds429(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", rec.Code, rec.Body)
 	}
+	wantAPIError(t, rec, http.StatusTooManyRequests)
 	if got := rec.Header().Get("Retry-After"); got != strconv.Itoa(RetryAfterSeconds) {
 		t.Errorf("Retry-After = %q, want %d", got, RetryAfterSeconds)
 	}

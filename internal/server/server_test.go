@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -33,17 +35,78 @@ func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest("POST", path, bytes.NewReader(b))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec
+	return serve(t, h, httptest.NewRequest("POST", path, bytes.NewReader(b)))
 }
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-	return rec
+	return serve(t, h, httptest.NewRequest("GET", path, nil))
+}
+
+// serve runs one request through h on a strictRecorder and returns the
+// recorded response.
+func serve(t *testing.T, h http.Handler, req *http.Request) *httptest.ResponseRecorder {
+	rec := &strictRecorder{ResponseRecorder: httptest.NewRecorder(), t: t}
+	h.ServeHTTP(rec, req)
+	return rec.ResponseRecorder
+}
+
+// strictRecorder is an httptest.ResponseRecorder that fails the test
+// when a handler sets a second status. net/http drops that call with a
+// log line, so the client sees the first status while the handler
+// believes it sent the second.
+type strictRecorder struct {
+	*httptest.ResponseRecorder
+	t       *testing.T
+	written bool
+}
+
+func (r *strictRecorder) WriteHeader(code int) {
+	if r.written {
+		r.t.Errorf("handler set status %d after the response was committed with %d", code, r.Code)
+		return
+	}
+	r.written = true
+	r.ResponseRecorder.WriteHeader(code)
+}
+
+func (r *strictRecorder) Write(b []byte) (int, error) {
+	r.written = true
+	return r.ResponseRecorder.Write(b)
+}
+
+func (r *strictRecorder) WriteString(s string) (int, error) {
+	r.written = true
+	return r.ResponseRecorder.WriteString(s)
+}
+
+func (r *strictRecorder) Flush() {
+	r.written = true
+	r.ResponseRecorder.Flush()
+}
+
+// wantAPIError checks that rec is an error response in the shared
+// shape: the given status, Content-Type application/json, and a body
+// that decodes to an apiError with a non-empty message. It returns the
+// decoded body.
+func wantAPIError(t *testing.T, rec *httptest.ResponseRecorder, status int) apiError {
+	t.Helper()
+	var e apiError
+	if rec.Code != status {
+		t.Errorf("status %d, want %d: %s", rec.Code, status, rec.Body)
+		return e
+	}
+	// Result reports the headers as they were when the status was
+	// written; one set later never reaches the client.
+	if ct := rec.Result().Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%d: Content-Type %q, want application/json", status, ct)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Errorf("%d: body %q is not a JSON error: %v", status, rec.Body, err)
+	} else if e.Error == "" {
+		t.Errorf("%d: body %q has an empty error field", status, rec.Body)
+	}
+	return e
 }
 
 func decodeBody[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
@@ -95,7 +158,7 @@ func TestMalformedAsmIs422WithLine(t *testing.T) {
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422: %s", rec.Code, rec.Body)
 	}
-	e := decodeBody[apiError](t, rec)
+	e := wantAPIError(t, rec, http.StatusUnprocessableEntity)
 	if e.Line != 2 {
 		t.Errorf("diagnostic line = %d, want 2 (%+v)", e.Line, e)
 	}
@@ -128,7 +191,7 @@ func TestDataPastMemoryIs422WithLine(t *testing.T) {
 			if rec.Code != http.StatusUnprocessableEntity {
 				t.Fatalf("%s: status %d, want 422: %s", c.path, rec.Code, rec.Body)
 			}
-			if e := decodeBody[apiError](t, rec); e.Line != p.line {
+			if e := wantAPIError(t, rec, http.StatusUnprocessableEntity); e.Line != p.line {
 				t.Errorf("%s: diagnostic line = %d, want %d (%+v)", c.path, e.Line, p.line, e)
 			}
 		}
@@ -159,7 +222,9 @@ func TestValidationErrors(t *testing.T) {
 		rec := postJSON(t, s.Handler(), c.path, c.body)
 		if rec.Code != c.want {
 			t.Errorf("%s: status %d, want %d (%s)", c.name, rec.Code, c.want, rec.Body)
+			continue
 		}
+		wantAPIError(t, rec, c.want)
 	}
 }
 
@@ -173,12 +238,12 @@ func TestMalformedJSONIs400(t *testing.T) {
 		`{"kernel":"LLL1"} garbage`,
 	} {
 		for _, path := range []string{"/v1/simulate", "/v1/batch", "/v1/analyze"} {
-			req := httptest.NewRequest("POST", path, strings.NewReader(body))
-			rec := httptest.NewRecorder()
-			s.Handler().ServeHTTP(rec, req)
+			rec := serve(t, s.Handler(), httptest.NewRequest("POST", path, strings.NewReader(body)))
 			if rec.Code != http.StatusBadRequest {
 				t.Errorf("POST %s %q: status %d, want 400", path, body, rec.Code)
+				continue
 			}
+			wantAPIError(t, rec, http.StatusBadRequest)
 		}
 	}
 }
@@ -191,6 +256,7 @@ func TestOversizeRequestIs413(t *testing.T) {
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
 	}
+	wantAPIError(t, rec, http.StatusRequestEntityTooLarge)
 }
 
 func TestClientDisconnectIs499(t *testing.T) {
@@ -199,11 +265,11 @@ func TestClientDisconnectIs499(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the client has already gone away
 	req := httptest.NewRequest("POST", "/v1/simulate", bytes.NewReader(body)).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, req)
+	rec := serve(t, s.Handler(), req)
 	if rec.Code != StatusClientClosedRequest {
 		t.Fatalf("status %d, want %d: %s", rec.Code, StatusClientClosedRequest, rec.Body)
 	}
+	wantAPIError(t, rec, StatusClientClosedRequest)
 }
 
 func TestDeadlineIs504(t *testing.T) {
@@ -212,6 +278,7 @@ func TestDeadlineIs504(t *testing.T) {
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body)
 	}
+	wantAPIError(t, rec, http.StatusGatewayTimeout)
 }
 
 // TestHugeTimeoutDoesNotShorten: a timeout_ms too large for a
@@ -419,6 +486,68 @@ func TestJobCancellation(t *testing.T) {
 	}
 	if m := runner.Pool().Metrics(); m.Completed >= int64(len(items)) {
 		t.Errorf("all %d jobs ran after the cancel (%+v)", len(items), m)
+	}
+}
+
+// TestShutdownLeavesNoGoroutines: after a real listener has served a
+// /v1/simulate and a /v1/batch whose client hung up after the first
+// line, closing the listener and the Runner returns the process to its
+// goroutine count from before the server started. A handler, worker or
+// result wait that outlives its request shows up as a leak here.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+
+	runner := ruu.NewRunner(ruu.RunnerConfig{Workers: 1})
+	ts := httptest.NewServer(New(Config{Runner: runner}).Handler())
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+
+	resp, err := client.Post(ts.URL+"/v1/simulate", "application/json",
+		strings.NewReader(`{"engine":"ruu","entries":12,"kernel":"LLL1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate: status %d", resp.StatusCode)
+	}
+
+	var items []map[string]any
+	for _, n := range []int{40, 45, 50} {
+		for _, k := range livermore.Kernels() {
+			items = append(items, map[string]any{"engine": "ruu", "entries": n, "kernel": k.Name})
+		}
+	}
+	body, _ := json.Marshal(map[string]any{"items": items})
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/batch", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(resp.Body).ReadBytes('\n'); err != nil {
+		t.Fatalf("batch: no first line: %v", err)
+	}
+	cancel() // the client hangs up mid-stream
+	resp.Body.Close()
+
+	tr.CloseIdleConnections()
+	ts.Close()
+	runner.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			var dump strings.Builder
+			pprof.Lookup("goroutine").WriteTo(&dump, 1)
+			t.Fatalf("%d goroutines 5s after shutdown, %d before the server started:\n%s",
+				runtime.NumGoroutine(), baseline, dump.String())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
