@@ -19,12 +19,16 @@ race:
 	$(GO) test -race -count=3 ./internal/sched ./internal/server ./internal/store
 
 # fuzz-smoke gives each fuzz target 10 s of fuzzing: the assembler
-# (FuzzAssemble) and the parcel decoder (FuzzDecode). Plain `go test`
-# runs only their committed seeds; a crasher found here is written
-# under the package's testdata/fuzz and fails every later `go test`.
+# (FuzzAssemble), the parcel decoder (FuzzDecode), the store's entry
+# framing (FuzzDecodeEntry) and its persisted-value codec
+# (FuzzDecodeCached). Plain `go test` runs only their committed seeds;
+# a crasher found here is written under the package's testdata/fuzz and
+# fails every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/asm
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/isa
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCached$$' -fuzztime 10s .
 
 vet:
 	$(GO) vet ./...

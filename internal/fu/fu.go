@@ -14,7 +14,8 @@ import (
 
 // Latencies gives, for each unit class, the number of cycles between
 // dispatching an operation to the unit and its result appearing on the
-// result bus. All units are fully pipelined.
+// result bus. All units are fully pipelined. An instruction's latency is
+// l[u.Unit] for its predecoded isa.Uop u.
 type Latencies [isa.NumUnits]int
 
 // DefaultLatencies returns CRAY-1-like scalar unit latencies. The exact
@@ -38,16 +39,6 @@ func DefaultLatencies() Latencies {
 	l[isa.UnitMem] = isa.LatMem
 	l[isa.UnitMove] = isa.LatMove
 	return l
-}
-
-// Of returns the latency of the unit executing op. It panics for
-// UnitNone ops (branches, NOP, HALT), which never enter a unit.
-func (l Latencies) Of(op isa.Op) int {
-	u := op.Info().Unit
-	if u == isa.UnitNone {
-		panic(fmt.Sprintf("fu: %s does not execute in a functional unit", op))
-	}
-	return l[u]
 }
 
 // Validate reports an error if any executing unit class has a

@@ -21,9 +21,6 @@ func TestDefaultLatencies(t *testing.T) {
 	if l.Max() != l[isa.UnitFRecip] {
 		t.Errorf("Max = %d, want the reciprocal latency", l.Max())
 	}
-	if got := l.Of(isa.FMul); got != l[isa.UnitFMul] {
-		t.Errorf("Of(FMul) = %d", got)
-	}
 }
 
 func TestLatenciesValidate(t *testing.T) {
@@ -32,15 +29,6 @@ func TestLatenciesValidate(t *testing.T) {
 	if err := l.Validate(); err == nil {
 		t.Error("zero latency accepted")
 	}
-}
-
-func TestOfPanicsForBranch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Of(Jmp) did not panic")
-		}
-	}()
-	DefaultLatencies().Of(isa.Jmp)
 }
 
 func TestResultBusExclusivity(t *testing.T) {

@@ -9,7 +9,8 @@ import (
 // FuzzDecode feeds arbitrary parcel streams (two bytes per parcel,
 // high byte first; an odd trailing byte is dropped) to the decoder.
 // Whatever it accepts must encode again, and decoding that encoding
-// must give the same instructions and the same parcels. Plain
+// must give the same instructions and the same parcels; its predecoded
+// micro-ops must agree with the per-instruction decode. Plain
 // `go test` runs the 14 Livermore kernels' encodings committed under
 // testdata/fuzz/FuzzDecode as seeds.
 func FuzzDecode(f *testing.F) {
@@ -45,6 +46,9 @@ func FuzzDecode(f *testing.F) {
 			if got := back.Instructions[i]; got != want {
 				t.Fatalf("instruction %d: round trip gives %+v, want %+v", i, got, want)
 			}
+		}
+		for pc, u := range isa.Predecode(p) {
+			checkUop(t, p.Instructions[pc], u)
 		}
 	})
 }

@@ -15,10 +15,19 @@ import (
 )
 
 // Context carries the substrate shared by the machine loop and the
-// engine: the program, the architectural state, the single result bus,
-// the load registers, and the functional-unit latencies.
+// engine: the program and its predecoded micro-op table, the
+// architectural state, the single result bus, the load registers, and
+// the functional-unit latencies.
 type Context struct {
-	Prog     *isa.Program
+	Prog *isa.Program
+	// Uops is the program's predecoded table (isa.Predecode), indexed by
+	// pc: the only place the machine and the engines take an
+	// instruction's unit, memory and branch flags, destination and
+	// sources from. Nothing on the per-cycle path calls Op.Info,
+	// Instruction.Srcs or Instruction.Dst (the parcel count the
+	// instruction-buffer fetch model reads is the one exception), and a
+	// latency is Lat[Uops[pc].Unit].
+	Uops     []isa.Uop
 	State    *exec.State
 	Bus      *fu.ResultBus
 	LoadRegs *memsys.LoadRegs

@@ -220,7 +220,7 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 		if e.count == e.size {
 			return issue.StallEntry
 		}
-		_, ent := e.allocate(c, pc, ins)
+		_, ent := e.allocate(c, pc)
 		if ins.Op == isa.Trap {
 			ent.fault = &exec.Trap{Kind: exec.TrapExplicit, PC: pc}
 		}
@@ -228,10 +228,9 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 		return issue.StallNone
 	}
 
-	var srcBuf [2]isa.Reg
-	srcs := ins.Srcs(srcBuf[:0])
+	u := &e.ctx.Uops[pc]
 	var vals [2]int64
-	for i, r := range srcs {
+	for i, r := range u.Src[:u.NSrc] {
 		v, ok := e.readReg(r)
 		if !ok {
 			return issue.StallOperand
@@ -242,13 +241,12 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 	if e.count == e.size {
 		return issue.StallEntry
 	}
-	lat := int64(e.ctx.Lat.Of(ins.Op))
-	if _, hasDst := ins.Dst(); hasDst && !e.ctx.Bus.Reserve(c+lat) {
+	lat := int64(e.ctx.Lat[u.Unit])
+	if u.HasDst && !e.ctx.Bus.Reserve(c+lat) {
 		return issue.StallBus
 	}
-	pos, ent := e.allocate(c, pc, ins)
-	info := ins.Op.Info()
-	if !info.Load && !info.Store {
+	pos, ent := e.allocate(c, pc)
+	if !u.Load && !u.Store {
 		ent.value = exec.ALU(ins, vals[0], vals[1])
 		e.pending = append(e.pending, completion{c + lat, pos})
 		return issue.StallNone
@@ -258,7 +256,7 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 		e.doneAtIssue(c, ent)
 		return issue.StallNone
 	}
-	if info.Store {
+	if u.Store {
 		// A store is "done" at issue; memory waits for commit.
 		ent.isStore, ent.addr, ent.data = true, addr, vals[1]
 		e.doneAtIssue(c, ent)
@@ -283,14 +281,14 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 // not full, recording it as its destination's newest writer, and returns
 // its position. In-order issue sends the instruction straight to its
 // functional unit, so issue, dispatch and execute coincide.
-func (e *Engine) allocate(c int64, pc int, ins isa.Instruction) (int, *robEntry) {
+func (e *Engine) allocate(c int64, pc int) (int, *robEntry) {
 	pos := e.tail
 	ent := &e.rob[pos]
 	*ent = robEntry{used: true, id: e.ctx.DecodeID, pc: pc}
-	if dst, ok := ins.Dst(); ok {
+	if u := &e.ctx.Uops[pc]; u.HasDst {
 		ent.hasDest = true
-		ent.dest = dst
-		f := dst.Flat()
+		ent.dest = u.Dst
+		f := u.Dst.Flat()
 		e.writers[f]++
 		e.lastWriter[f] = pos
 		e.ffFresh[f] = false // the newest writer has not completed yet

@@ -82,26 +82,25 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 		return issue.StallNone
 	}
 
-	var srcBuf [2]isa.Reg
-	srcs := ins.Srcs(srcBuf[:0])
+	u := &e.ctx.Uops[pc]
+	srcs := u.Src[:u.NSrc]
 	for _, r := range srcs {
 		if e.busy[r.Flat()] {
 			return issue.StallOperand
 		}
 	}
-	dst, hasDst := ins.Dst()
+	dst, hasDst := u.Dst, u.HasDst
 	if hasDst && e.busy[dst.Flat()] {
 		return issue.StallDest
 	}
 
-	info := ins.Op.Info()
 	st := e.ctx.State
 	switch {
 	case ins.Op == isa.Trap:
 		e.trap = &exec.Trap{Kind: exec.TrapExplicit, PC: pc}
 		return issue.StallNone
-	case info.Load:
-		addr := exec.EffAddr(ins, st.Reg(isa.A(int(ins.J))))
+	case u.Load:
+		addr := exec.EffAddr(ins, st.Reg(u.Src[0]))
 		lat := int64(e.ctx.Lat[isa.UnitMem])
 		// Reserve the bus before the trap check so the injector is
 		// consulted exactly once per dynamic memory operation (a bus
@@ -120,8 +119,8 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 		e.busy[dst.Flat()] = true
 		e.inflight = append(e.inflight, writeback{c + lat, dst, v, e.ctx.DecodeID, pc})
 		e.observeStart(c, pc)
-	case info.Store:
-		addr := exec.EffAddr(ins, st.Reg(isa.A(int(ins.J))))
+	case u.Store:
+		addr := exec.EffAddr(ins, st.Reg(u.Src[0]))
 		if t := e.memTrap(pc, addr); t != nil {
 			e.trap = t
 			return issue.StallNone
@@ -129,7 +128,7 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 		// In-order issue guarantees memory ordering; the store's value is
 		// architecturally visible at issue (timing-wise the memory unit
 		// is pipelined and stores produce no register result).
-		data := st.Reg(isa.Reg{File: info.File, Idx: ins.I})
+		data := st.Reg(u.Src[1])
 		if f := st.Mem.Write(addr, data); f != nil {
 			panic("simple: unexpected fault after check: " + f.Error())
 		}
@@ -143,7 +142,7 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 		if len(srcs) > 1 {
 			v2 = st.Reg(srcs[1])
 		}
-		lat := int64(e.ctx.Lat.Of(ins.Op))
+		lat := int64(e.ctx.Lat[u.Unit])
 		if !e.ctx.Bus.Reserve(c + lat) {
 			return issue.StallBus
 		}

@@ -42,11 +42,12 @@ func (e *Engine) IssueBranch(c int64, pc int, ins isa.Instruction, predictTaken 
 // the outcome, and — on a misprediction — squashes every younger entry.
 func (e *Engine) resolveBranch(c int64, idx int) {
 	s := &e.stations[idx]
-	taken := exec.BranchTaken(s.ins.Op, s.op1.value)
+	ins := &e.prog[s.pc]
+	taken := exec.BranchTaken(ins.Op, s.op1.value)
 	s.resolved, s.executed, s.taken = true, true, taken
 	e.ctx.Observe(obs.KindExecute, c, s.id, s.pc)
 	e.ctx.Observe(obs.KindWriteback, c, s.id, s.pc)
-	target := int(s.ins.Imm)
+	target := int(ins.Imm)
 	if !taken {
 		target = s.pc + 1
 	}

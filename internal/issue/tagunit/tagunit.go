@@ -192,8 +192,8 @@ type station struct {
 	on         readyKind // the ready list holding the station
 	id         int64     // dynamic-instruction id (observability)
 	seq        int64
-	pc         int
-	ins        isa.Instruction
+	pc         int      // indexes the program and its micro-op table
+	unit       isa.Unit // the functional unit, for its latency
 	issueCycle int64
 	// readyAt is the cycle in which the last waiting operand was gated
 	// in from a bus; a station may dispatch only in a later cycle (gate-in
@@ -291,6 +291,7 @@ func (l *list) remove(next, prev []int32, n int32) {
 type Engine struct {
 	cfg   Config
 	ctx   *issue.Context
+	prog  []isa.Instruction // ctx.Prog's instructions, by pc
 	paths int
 	queue bool // Stations is a Queue: retirement at in-order commit
 
@@ -455,6 +456,7 @@ func (e *Engine) Name() string {
 // Reset implements issue.Engine.
 func (e *Engine) Reset(ctx *issue.Context) {
 	e.ctx = ctx
+	e.prog = ctx.Prog.Instructions
 	size := 1
 	for size <= max(ctx.Lat.Max(), ctx.FwdLatency) {
 		size <<= 1
@@ -692,9 +694,9 @@ func (e *Engine) Dispatch(c int64) {
 	for idx := e.ready[aluReady].first; idx != none && budget > 0; {
 		next := e.rNext[idx]
 		if s := &e.stations[idx]; s.issueCycle < c && s.readyAt < c {
-			lat := int64(e.ctx.Lat.Of(s.ins.Op))
+			lat := int64(e.ctx.Lat[s.unit])
 			if e.ctx.Bus.Reserve(c + lat) {
-				e.start(c, int(idx), c+lat, exec.ALU(s.ins, s.op1.value, s.op2.value))
+				e.start(c, int(idx), c+lat, exec.ALU(e.prog[s.pc], s.op1.value, s.op2.value))
 				budget--
 			}
 		}
@@ -753,7 +755,7 @@ func (e *Engine) advanceMemFrontier(c int64) {
 	if s.issueCycle >= c || s.readyAt >= c || !s.op1.ready {
 		return
 	}
-	addr := exec.EffAddr(s.ins, s.op1.value)
+	addr := exec.EffAddr(e.prog[s.pc], s.op1.value)
 	if !s.memChecked {
 		s.memChecked = true
 		if t := issue.MemTrap(e.ctx, s.pc, addr); t != nil {
@@ -885,16 +887,16 @@ func (e *Engine) TryIssue(c int64, pc int, ins isa.Instruction) issue.StallReaso
 // unit may use — reading or tagging its source operands and taking a tag
 // for its destination. It returns the station index.
 func (e *Engine) enter(c int64, pc int, ins isa.Instruction) (int, issue.StallReason) {
-	info := ins.Op.Info()
+	u := &e.ctx.Uops[pc]
 	var free *[]int32
 	if e.queue {
 		if e.inFlight == len(e.stations) {
 			return 0, issue.StallEntry
 		}
-	} else if free = &e.free[e.classOf(info.Unit)]; len(*free) == 0 {
+	} else if free = &e.free[e.classOf(u.Unit)]; len(*free) == 0 {
 		return 0, issue.StallEntry
 	}
-	dst, hasDst := ins.Dst()
+	dst, hasDst := u.Dst, u.HasDst
 	if hasDst && (e.queue && e.ni[dst.Flat()] == e.instMask ||
 		e.cfg.TagUnitSize > 0 && len(e.tuFree) == 0) {
 		return 0, issue.StallDest // no tag can be obtained: issue blocks
@@ -911,27 +913,25 @@ func (e *Engine) enter(c int64, pc int, ins isa.Instruction) (int, issue.StallRe
 	s.id = e.ctx.DecodeID
 	s.seq = e.nextSeq
 	s.pc = pc
-	s.ins = ins
+	s.unit = u.Unit
 	s.issueCycle = c
 	s.binding = memsys.Invalid
-	s.isStore = info.Store
-	s.isBranch = ins.Op.IsBranch()
+	s.isStore = u.Store
+	s.isBranch = u.Branch
 	// A NOP or an explicit trap (in the queue) is complete at issue.
 	s.executed = ins.Op == isa.Nop || ins.Op == isa.Trap
 	s.op1.ready, s.op2.ready = true, true
-	var srcBuf [2]isa.Reg
-	srcs := ins.Srcs(srcBuf[:0])
-	if len(srcs) > 0 {
-		if s.op1 = e.readOperand(srcs[0]); !s.op1.ready {
+	if u.NSrc > 0 {
+		if s.op1 = e.readOperand(u.Src[0]); !s.op1.ready {
 			e.wait(idx, 0, s.op1.tag)
 		}
 	}
-	if len(srcs) > 1 {
-		if s.op2 = e.readOperand(srcs[1]); !s.op2.ready {
+	if u.NSrc > 1 {
+		if s.op2 = e.readOperand(u.Src[1]); !s.op2.ready {
 			e.wait(idx, 1, s.op2.tag)
 		}
 	}
-	if info.Load || info.Store {
+	if u.Load || u.Store {
 		s.phase = memUnbound
 		*e.memAt(e.memLen) = int32(idx)
 		e.memLen++

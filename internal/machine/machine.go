@@ -257,7 +257,6 @@ func (m *Machine) SetFaultInjector(fi FaultInjector) { m.faultInjector = fi }
 type decodeReg struct {
 	valid bool
 	pc    int
-	ins   isa.Instruction
 	id    int64 // dynamic-instruction id, assigned at fetch
 	seen  bool  // decode event emitted for this instruction
 }
@@ -272,8 +271,10 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 	if err := m.cfg.Lat.Validate(); err != nil {
 		return Result{}, err
 	}
+	uops := isa.Predecode(prog)
 	ctx := &issue.Context{
 		Prog:       prog,
+		Uops:       uops,
 		State:      st,
 		Bus:        fu.NewResultBus(),
 		LoadRegs:   memsys.NewLoadRegs(m.cfg.LoadRegs),
@@ -493,7 +494,12 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 		}
 
 		// Decode / issue phase.
+		var (
+			ins *isa.Instruction // the instruction in the decode register
+			u   *isa.Uop         // and its predecoded form
+		)
 		if dec.valid {
+			ins, u = &prog.Instructions[dec.pc], &uops[dec.pc]
 			ctx.DecodeID = dec.id
 			if !dec.seen {
 				dec.seen = true
@@ -505,7 +511,7 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 		switch {
 		case !dec.valid:
 			recordStall(c, issue.StallFetch)
-		case dec.ins.Op == isa.Halt:
+		case ins.Op == isa.Halt:
 			if m.eng.Drained() {
 				retireMachine(c, false, false) // HALT counts as executed
 				stats.MaxInFlight = maxInt(stats.MaxInFlight, m.eng.InFlight())
@@ -513,12 +519,12 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 				return result, nil
 			}
 			recordStall(c, issue.StallDrain)
-		case dec.ins.Op == isa.Jmp:
-			target := int(dec.ins.Imm)
+		case ins.Op == isa.Jmp:
+			target := int(ins.Imm)
 			if speculating {
 				// Enter the engine so a wrong-path jump is squashable and
 				// counted only if architecturally executed.
-				if _, r := spec.IssueBranch(c, dec.pc, dec.ins, true); r == issue.StallNone {
+				if _, r := spec.IssueBranch(c, dec.pc, *ins, true); r == issue.StallNone {
 					dec = decodeReg{}
 					pc = target
 					fetchDelay = m.cfg.PredictedTakenBubble
@@ -531,10 +537,10 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 				pc = target
 				fetchDelay = m.cfg.TakenPenalty
 			}
-		case dec.ins.Op.IsConditional() && speculating:
+		case speculating && u.Cond:
 			predictTaken := pred.Predict(dec.pc)
-			if _, r := spec.IssueBranch(c, dec.pc, dec.ins, predictTaken); r == issue.StallNone {
-				target := int(dec.ins.Imm)
+			if _, r := spec.IssueBranch(c, dec.pc, *ins, predictTaken); r == issue.StallNone {
+				target := int(ins.Imm)
 				dec = decodeReg{}
 				if predictTaken {
 					pc = target
@@ -543,16 +549,15 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 			} else {
 				recordStall(c, r)
 			}
-		case dec.ins.Op.IsBranch():
-			condReg, _ := dec.ins.Op.CondReg()
-			v, ok := m.eng.TryReadCond(c, condReg)
+		case u.Branch:
+			v, ok := m.eng.TryReadCond(c, u.CondReg)
 			if !ok {
 				recordStall(c, issue.StallBranch)
 				break
 			}
-			taken := exec.BranchTaken(dec.ins.Op, v)
+			taken := exec.BranchTaken(ins.Op, v)
 			retireMachine(c, true, taken)
-			target := int(dec.ins.Imm)
+			target := int(ins.Imm)
 			fallthroughPC := dec.pc + 1
 			dec = decodeReg{}
 			if taken {
@@ -563,7 +568,7 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 				fetchDelay = m.cfg.UntakenPenalty
 			}
 		default:
-			if r := m.eng.TryIssue(c, dec.pc, dec.ins); r == issue.StallNone {
+			if r := m.eng.TryIssue(c, dec.pc, *ins); r == issue.StallNone {
 				dec = decodeReg{}
 			} else {
 				recordStall(c, r)
@@ -590,10 +595,10 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 					continue
 				}
 			}
-			dec = decodeReg{valid: true, pc: pc, ins: prog.Instructions[pc], id: nextID}
+			dec = decodeReg{valid: true, pc: pc, id: nextID}
 			ctx.Observe(obs.KindFetch, c, nextID, pc)
 			nextID++
-			if dec.ins.Op == isa.Halt {
+			if prog.Instructions[pc].Op == isa.Halt {
 				halting = true
 			}
 			pc++
