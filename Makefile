@@ -19,7 +19,8 @@ race:
 	$(GO) test -race -count=3 ./internal/sched ./internal/server ./internal/store
 
 # fuzz-smoke gives each fuzz target 10 s of fuzzing: the assembler
-# (FuzzAssemble), the parcel decoder (FuzzDecode), the store's entry
+# (FuzzAssemble), the parcel decoder (FuzzDecode), the copy-on-write
+# memory image against a flat model (FuzzMemory), the store's entry
 # framing (FuzzDecodeEntry) and its persisted-value codec
 # (FuzzDecodeCached). Plain `go test` runs only their committed seeds;
 # a crasher found here is written under the package's testdata/fuzz and
@@ -27,6 +28,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssemble$$' -fuzztime 10s ./internal/asm
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/isa
+	$(GO) test -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 10s ./internal/memsys
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCached$$' -fuzztime 10s .
 

@@ -8,6 +8,7 @@ import (
 
 	"ruu"
 	"ruu/internal/livermore"
+	"ruu/internal/memsys"
 )
 
 // allocLoop is a counted loop with a load and a store per iteration, so
@@ -142,12 +143,69 @@ func TestCycleZeroAllocs(t *testing.T) {
 	}
 }
 
+// pageLoop stores into page 0 and into a second address on each of n
+// iterations; the second address starts at start and moves by stride.
+func pageLoop(n, start, stride int) string {
+	return fmt.Sprintf(`
+.equ   n %d
+.equ   start %d
+
+    lai   A7, 0
+    lai   A1, =start
+    lai   A0, =n
+    lsi   S1, 1
+loop:
+    sts   S1, 0(A7)
+    sts   S1, 0(A1)
+    addai A1, A1, %d
+    addai A0, A0, -1
+    janz  loop
+    halt
+`, n, start, stride)
+}
+
+// TestPageCopyAllocs pins the bound behind copyPage's place among
+// hotpathalloc's cold functions (internal/analysis): a run's memory
+// shares its pages with the unit's initial image, and the first store
+// to a page copies it, so a store allocates at most once per page per
+// run. A loop that also stores into k distinct fresh pages allocates
+// exactly k more than the same loop storing into the one page it
+// already writes.
+func TestPageCopyAllocs(t *testing.T) {
+	runtime.GC()
+	for _, eng := range []ruu.EngineKind{ruu.EngineSimple, ruu.EngineRSTU, ruu.EngineRUU, ruu.EngineReorder} {
+		for _, k := range []int{1, 4, 16} {
+			allocs := func(start, stride int) float64 {
+				u, err := ruu.Assemble(pageLoop(k, start, stride))
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := func() {
+					m, err := ruu.NewMachine(ruu.Config{Engine: eng})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res, err := m.Run(u.Prog, ruu.NewState(u)); err != nil || res.Trap != nil {
+						t.Fatalf("run failed: %v trap=%v", err, res.Trap)
+					}
+				}
+				run()
+				return testing.AllocsPerRun(5, run)
+			}
+			onePage, kPages := allocs(1, 1), allocs(memsys.PageWords, memsys.PageWords)
+			if extra := kPages - onePage; extra != float64(k) {
+				t.Errorf("%s, %d pages: %v allocs, one page %v: %v extra, want %d", eng, k, kPages, onePage, extra, k)
+			}
+		}
+	}
+}
+
 // TestVerifiedRunProgramAllocs bounds what a verified RunProgram
 // allocates once the unit's functional reference is computed: the
 // run's own state and machine, not a second and third memory image for
 // the reference.
 func TestVerifiedRunProgramAllocs(t *testing.T) {
-	const limitKB, runs = 400, 10
+	const limitKB, runs = 64, 10
 	u, err := livermore.ByName("LLL1").Unit()
 	if err != nil {
 		t.Fatal(err)

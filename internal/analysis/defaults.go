@@ -87,8 +87,11 @@ var DefaultColdTypes = []string{"Trap", "Fault"}
 // DefaultColdFuncs are functions the hot-path traversal treats as
 // cold boundaries: wholesale flush/reset runs once per interrupt or
 // misprediction recovery, not once per cycle (the same boundary
-// probeemit draws).
-var DefaultColdFuncs = []string{"Flush", "Reset"}
+// probeemit draws), and memsys's copyPage, the copy-on-write of a page
+// a memory shares, runs at most once per page per run: the memory owns
+// the page from then on. TestPageCopyAllocs in the root package pins
+// that bound.
+var DefaultColdFuncs = []string{"Flush", "Reset", "copyPage"}
 
 // DefaultPaperSpec anchors the paperconst pass to
 // internal/isa/paperconst.go, the single source of truth for the

@@ -58,6 +58,11 @@ type Unit struct {
 	// nIns is the pass-1 instruction count, for pass-2 range checks.
 	nIns int
 
+	// imageOnce guards the initial memory image (see NewMemory), which
+	// is frozen and never written.
+	imageOnce sync.Once
+	image     *memsys.Memory
+
 	// refOnce guards the memoized functional reference (see Reference).
 	refOnce sync.Once
 	ref     *Reference
@@ -65,14 +70,13 @@ type Unit struct {
 }
 
 // Reference is a unit's functional reference: where the functional
-// executor ends when it runs the program from NewMemory. It keeps only
-// what a verify step compares, the final registers, the run's counts
-// and the final memory image in page-sparse form, and is shared
-// read-only by every caller.
+// executor ends when it runs the program from NewMemory. It keeps what
+// a verify step compares, the final registers, the run's counts and the
+// final memory image, frozen, and is shared read-only by every caller.
 type Reference struct {
 	Regs   exec.RegState
 	Result exec.RunResult
-	Mem    *memsys.Image
+	Mem    *memsys.Memory
 }
 
 // Reference returns the unit's functional reference. The first call
@@ -88,7 +92,8 @@ func (u *Unit) Reference() (*Reference, error) {
 			u.refErr = err
 			return
 		}
-		u.ref = &Reference{Regs: st.RegState, Result: res, Mem: st.Mem.Sparse()}
+		st.Mem.Freeze()
+		u.ref = &Reference{Regs: st.RegState, Result: res, Mem: st.Mem}
 	})
 	return u.ref, u.refErr
 }
@@ -101,11 +106,17 @@ func (u *Unit) InitMemory(m *memsys.Memory) {
 }
 
 // NewMemory returns a default-sized memory initialised with the unit's
-// data image.
+// data image. The first call builds the image and freezes it; every
+// call, from any goroutine, returns a Clone of it, which shares its
+// pages until it writes them. The unit must not change after the first
+// call.
 func (u *Unit) NewMemory() *memsys.Memory {
-	m := memsys.NewMemory(0)
-	u.InitMemory(m)
-	return m
+	u.imageOnce.Do(func() {
+		u.image = memsys.NewMemory(0)
+		u.InitMemory(u.image)
+		u.image.Freeze()
+	})
+	return u.image.Clone()
 }
 
 // Error is an assembly error with source position. File is empty when

@@ -183,6 +183,53 @@ func TestAssembleDataFillsMemory(t *testing.T) {
 	}
 }
 
+// TestNewMemoryConcurrentClones calls NewMemory on a fresh unit from
+// several goroutines at once, so building the shared initial image
+// races, and has each write every page of its memory: no write may
+// reach the image or another caller's memory. Run it with -race.
+func TestNewMemoryConcurrentClones(t *testing.T) {
+	u, err := Assemble(".word a 5\n.base 3000\n.word b 6\nhalt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	mems := make([]*memsys.Memory, callers)
+	done := make(chan int)
+	for i := range mems {
+		go func() {
+			m := u.NewMemory()
+			for a := int64(0); a < int64(m.Size()); a += memsys.PageWords / 2 {
+				m.Poke(a, int64(100+i))
+			}
+			mems[i] = m
+			done <- i
+		}()
+	}
+	for range mems {
+		<-done
+	}
+	fresh := u.NewMemory()
+	for a := int64(0); a < int64(fresh.Size()); a++ {
+		want := int64(0)
+		switch a {
+		case DefaultDataBase:
+			want = 5
+		case 3000:
+			want = 6
+		}
+		if got := fresh.Peek(a); got != want {
+			t.Fatalf("initial image word %d = %d after the callers wrote their copies, want %d", a, got, want)
+		}
+	}
+	for i, m := range mems {
+		for a := int64(0); a < int64(m.Size()); a += memsys.PageWords / 2 {
+			if got := m.Peek(a); got != int64(100+i) {
+				t.Fatalf("caller %d word %d = %d, want %d", i, a, got, 100+i)
+			}
+		}
+	}
+}
+
 // TestDiagnosticLines pins the source line attached to each diagnostic:
 // ruudfa and lltrace print these positions verbatim, so every error kind
 // must point at the offending line, not just fail.

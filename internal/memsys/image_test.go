@@ -40,9 +40,10 @@ func referenceImages(t *testing.T) map[string]*memsys.Memory {
 	return out
 }
 
-// resized returns a copy of m with n words: truncated, or zero-extended
-// with one non-zero word at the last address when longer, so both
-// comparisons must stop at the common length.
+// resized returns a copy of m with n words that shares no page with
+// it: every word is poked, so every page is stored, zeros included.
+// When longer, it is zero-extended with one non-zero word at the last
+// address, so both comparisons must stop at the common length.
 func resized(m *memsys.Memory, n int) *memsys.Memory {
 	c := memsys.NewMemory(n)
 	for a := 0; a < min(n, m.Size()); a++ {
@@ -54,13 +55,18 @@ func resized(m *memsys.Memory, n int) *memsys.Memory {
 	return c
 }
 
-// TestImageFirstDiffMatchesMemory pins the page-sparse image's
-// FirstDiff to Memory.FirstDiff on real reference images: unchanged,
-// one word changed in a zero page, in a data page and at the last
-// address, and the size changed both ways.
+// deepCopy returns a copy of m that shares no page with it.
+func deepCopy(m *memsys.Memory) *memsys.Memory { return resized(m, m.Size()) }
+
+// TestImageFirstDiffMatchesMemory pins FirstDiff from a shared image (a
+// Clone, which skips the pages it shares) to FirstDiff from a deep copy
+// (which shares none, and stores its zero pages) on real reference
+// images: unchanged, one word changed in a zero page, in a data page
+// and at the last address, and the size changed both ways. Equal must
+// agree with both.
 func TestImageFirstDiffMatchesMemory(t *testing.T) {
 	for name, ref := range referenceImages(t) {
-		im := ref.Sparse()
+		shared, deep := ref.Clone(), deepCopy(ref)
 		zeroPage, dataWord := -1, int64(-1)
 		for p := 0; p*memsys.PageWords < ref.Size(); p++ {
 			nonZero := int64(-1)
@@ -100,11 +106,18 @@ func TestImageFirstDiffMatchesMemory(t *testing.T) {
 			{"longer", resized(ref, ref.Size()+memsys.PageWords/2), int64(ref.Size())},
 		}
 		for _, c := range cases {
-			if d := ref.FirstDiff(c.got); d != c.want {
-				t.Fatalf("%s %s: Memory.FirstDiff = %d, want %d", name, c.what, d, c.want)
+			if d := shared.FirstDiff(c.got); d != c.want {
+				t.Fatalf("%s %s: FirstDiff from the shared image = %d, want %d", name, c.what, d, c.want)
 			}
-			if d := im.FirstDiff(c.got); d != c.want {
-				t.Errorf("%s %s: Image.FirstDiff = %d, Memory.FirstDiff = %d", name, c.what, d, c.want)
+			if d := deep.FirstDiff(c.got); d != c.want {
+				t.Errorf("%s %s: FirstDiff from the deep copy = %d, want %d", name, c.what, d, c.want)
+			}
+			if d := c.got.FirstDiff(deep); d != c.want {
+				t.Errorf("%s %s: FirstDiff to the deep copy = %d, want %d", name, c.what, d, c.want)
+			}
+			if eq := shared.Equal(c.got); eq != (c.want < 0) || deep.Equal(c.got) != eq {
+				t.Errorf("%s %s: Equal = %v from the shared image, %v from the deep copy, want %v",
+					name, c.what, eq, deep.Equal(c.got), c.want < 0)
 			}
 		}
 	}
@@ -116,7 +129,7 @@ func TestImagePartialLastPage(t *testing.T) {
 	const n = 2*memsys.PageWords + 5
 	m := memsys.NewMemory(n)
 	m.Poke(n-2, 3)
-	im := m.Sparse()
+	shared, deep := m.Clone(), deepCopy(m)
 	for _, c := range []struct {
 		got  *memsys.Memory
 		want int64
@@ -127,15 +140,17 @@ func TestImagePartialLastPage(t *testing.T) {
 		{resized(m, n+1), n},
 		{memsys.NewMemory(n), n - 2},
 	} {
-		if d, want := im.FirstDiff(c.got), m.FirstDiff(c.got); d != want || d != c.want {
-			t.Errorf("size %d: Image.FirstDiff = %d, Memory.FirstDiff = %d, want %d", c.got.Size(), d, want, c.want)
+		if d, want := shared.FirstDiff(c.got), deep.FirstDiff(c.got); d != want || d != c.want {
+			t.Errorf("size %d: FirstDiff from the shared image = %d, from the deep copy = %d, want %d", c.got.Size(), d, want, c.want)
 		}
 	}
 }
 
-// TestImageFirstDiffEveryAddress changes each word in turn, in a zero
-// page, a data page and a partial last page, so every position within
-// the comparison loops' eight-word blocks and their tails is covered.
+// TestImageFirstDiffEveryAddress changes each word in turn of a clone,
+// in a zero page, a data page and a partial last page, so every
+// position within the comparison loops' eight-word blocks and their
+// tails is covered, against both the image the clone shares its other
+// pages with and a deep copy.
 func TestImageFirstDiffEveryAddress(t *testing.T) {
 	const n = 3*memsys.PageWords + 13
 	m := memsys.NewMemory(n)
@@ -143,24 +158,30 @@ func TestImageFirstDiffEveryAddress(t *testing.T) {
 		m.Poke(a, a)
 	}
 	m.Poke(n-1, -1)
-	im := m.Sparse()
+	deep := deepCopy(m)
 	for a := int64(0); a < n; a++ {
 		c := m.Clone()
 		c.Poke(a, c.Peek(a)+1)
-		if d, want := im.FirstDiff(c), m.FirstDiff(c); d != a || want != a {
-			t.Fatalf("word %d changed: Image.FirstDiff = %d, Memory.FirstDiff = %d", a, d, want)
+		if d, want, back := m.FirstDiff(c), deep.FirstDiff(c), c.FirstDiff(deep); d != a || want != a || back != a {
+			t.Fatalf("word %d changed: FirstDiff from the source = %d, from the deep copy = %d, to it = %d", a, d, want, back)
 		}
 	}
 }
 
-// TestImageIsACopy checks that the image does not alias the memory it
-// was taken from.
+// TestImageIsACopy checks that a clone and its source do not alias:
+// a write to either, after the Clone, is not seen by the other.
 func TestImageIsACopy(t *testing.T) {
 	m := memsys.NewMemory(0)
 	m.Poke(10, 1)
-	im := m.Sparse()
+	c := m.Clone()
 	m.Poke(10, 2)
-	if d := im.FirstDiff(m); d != 10 {
-		t.Errorf("FirstDiff after writing the source = %d, want 10", d)
+	if d := c.FirstDiff(m); d != 10 || c.Peek(10) != 1 {
+		t.Errorf("after writing the source: FirstDiff = %d, clone's word = %d; want 10, 1", d, c.Peek(10))
+	}
+	if f := c.Write(memsys.PageWords+3, 5); f != nil {
+		t.Fatal(f)
+	}
+	if m.Peek(memsys.PageWords+3) != 0 {
+		t.Error("a write to the clone's zero page shows in the source")
 	}
 }

@@ -6,10 +6,11 @@ package memsys
 
 import "fmt"
 
-// PageWords is the page size, in 64-bit words, used for fault injection.
-// Pages can be unmapped to make any access to them raise a page fault,
-// which is how the precise-interrupt experiments trigger faults at
-// controlled points.
+// PageWords is the page size in 64-bit words. A memory image is held
+// as pages of this size, shared between copies until one of them writes
+// (see Clone), and pages can be unmapped to make any access to them
+// raise a page fault, which is how the precise-interrupt experiments
+// trigger faults at controlled points.
 const PageWords = 1024
 
 // FaultKind classifies memory access failures.
@@ -48,31 +49,60 @@ func (f *Fault) Error() string {
 }
 
 // Memory is a word-addressed (64-bit words) memory image with optional
-// unmapped pages. The zero value is unusable; use NewMemory.
+// unmapped pages. It is held as pages of PageWords words, and a page of
+// zeros is not stored. Copies share pages: Clone copies no words, and a
+// page is copied on the first Write or Poke to it in any memory that
+// shares it. The zero value is unusable; use NewMemory.
 type Memory struct {
-	words    []int64
+	size     int
+	pages    []slot
 	unmapped map[int]bool
 }
+
+// slot is one page of a Memory.
+type slot struct {
+	words *page // nil for a page of zeros
+	own   bool  // words is this memory's alone: a write may change it in place
+}
+
+type page [PageWords]int64
 
 // DefaultWords is the default memory size: 32Ki words, addressable by the
 // 16-bit signed immediates of the ISA.
 const DefaultWords = 1 << 15
 
 // NewMemory returns a zeroed memory image of the given size in words.
+// It stores no page until one is written.
 func NewMemory(words int) *Memory {
 	if words <= 0 {
 		words = DefaultWords
 	}
-	return &Memory{words: make([]int64, words)}
+	return &Memory{size: words, pages: make([]slot, (words+PageWords-1)/PageWords)}
 }
 
 // Size returns the memory size in words.
-func (m *Memory) Size() int { return len(m.words) }
+func (m *Memory) Size() int { return m.size }
 
-// Clone returns an independent deep copy of the memory image.
+// Freeze gives up m's ownership of its pages: from now on m's first
+// write to a page copies it, as a write to a page shared with a clone
+// does, and Clone reads m without writing it. A frozen memory that
+// nobody writes can be read and cloned by any number of goroutines.
+func (m *Memory) Freeze() {
+	for p := range m.pages {
+		if m.pages[p].own {
+			m.pages[p].own = false
+		}
+	}
+}
+
+// Clone returns a copy of the memory image that shares every page with
+// m, in time proportional to the number of pages. Neither memory sees
+// the other's later writes: m is frozen first, so a write to a shared
+// page by either copies that page. Mapping state is copied.
 func (m *Memory) Clone() *Memory {
-	c := &Memory{words: make([]int64, len(m.words))}
-	copy(c.words, m.words)
+	m.Freeze()
+	c := &Memory{size: m.size, pages: make([]slot, len(m.pages))}
+	copy(c.pages, m.pages)
 	if len(m.unmapped) > 0 {
 		c.unmapped = make(map[int]bool, len(m.unmapped))
 		for p := range m.unmapped {
@@ -85,81 +115,43 @@ func (m *Memory) Clone() *Memory {
 // Equal reports whether two memory images hold identical words. Mapping
 // state is ignored: it is environment, not architectural state.
 func (m *Memory) Equal(o *Memory) bool {
-	if len(m.words) != len(o.words) {
-		return false
-	}
-	for i, w := range m.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
+	return m.size == o.size && m.FirstDiff(o) < 0
 }
 
-// FirstDiff returns the first address at which two images differ, or -1.
+// FirstDiff returns the first address at which two images differ, the
+// smaller size when only the sizes differ, or -1. A page the two share,
+// or that neither stores, is skipped without reading it.
 func (m *Memory) FirstDiff(o *Memory) int64 {
-	n := min(len(m.words), len(o.words))
-	if i := firstDiff(m.words[:n], o.words[:n]); i >= 0 {
-		return int64(i)
-	}
-	if len(m.words) != len(o.words) {
-		return int64(n)
-	}
-	return -1
-}
-
-// Image is a read-only, page-sparse copy of a memory image: its size
-// and those of its pages of PageWords words that hold a non-zero word.
-// A page of zeros is not stored. Mapping state is not kept: like Equal
-// and FirstDiff, an Image is about architectural state only.
-type Image struct {
-	size  int
-	pages [][]int64 // by page index; nil for a page of zeros
-}
-
-// Sparse returns a page-sparse copy of m's words.
-func (m *Memory) Sparse() *Image {
-	im := &Image{size: len(m.words), pages: make([][]int64, (len(m.words)+PageWords-1)/PageWords)}
-	for p := range im.pages {
-		page := m.words[p*PageWords : min((p+1)*PageWords, len(m.words))]
-		if firstNonZero(page) >= 0 {
-			im.pages[p] = append([]int64(nil), page...)
+	n := min(m.size, o.size)
+	for p, lo := 0, 0; lo < n; p, lo = p+1, lo+PageWords {
+		a, b := m.pages[p].words, o.pages[p].words
+		if a == b {
+			continue
 		}
-	}
-	return im
-}
-
-// FirstDiff returns what FirstDiff between m and the image this copy was
-// taken from returns: the first address at which they differ, the
-// smaller size when only the sizes differ, or -1. It compares whole page
-// slices, reading a page that is not stored as zeros.
-func (im *Image) FirstDiff(m *Memory) int64 {
-	n := min(im.size, len(m.words))
-	for p, page := range im.pages {
-		lo := p * PageWords
-		if lo >= n {
-			break
-		}
-		got := m.words[lo:min(lo+PageWords, n)]
+		k := min(PageWords, n-lo)
 		var i int
-		if page == nil {
-			i = firstNonZero(got)
-		} else {
-			i = firstDiff(page, got)
+		switch {
+		case a == nil:
+			i = firstNonZero(b[:k])
+		case b == nil:
+			i = firstNonZero(a[:k])
+		default:
+			i = firstDiff(a[:k], b[:k])
 		}
 		if i >= 0 {
 			return int64(lo + i)
 		}
 	}
-	if im.size != len(m.words) {
+	if m.size != o.size {
 		return int64(n)
 	}
 	return -1
 }
 
 // firstDiff returns the first index at which got differs from want, or
-// -1; want is at least as long as got. A verify reads every word of a
-// 32Ki-word image, so the loop tests eight words with one branch.
+// -1; want is at least as long as got. FirstDiff reads every word of
+// each page the two images do not share, so the loop tests eight words
+// with one branch.
 func firstDiff(want, got []int64) int {
 	want = want[:len(got)]
 	i := 0
@@ -211,7 +203,7 @@ func (m *Memory) Map(addr int64) {
 
 // Check reports the fault, if any, that an access to addr would raise.
 func (m *Memory) Check(addr int64) *Fault {
-	if addr < 0 || addr >= int64(len(m.words)) {
+	if addr < 0 || addr >= int64(m.size) {
 		return &Fault{FaultBadAddress, addr}
 	}
 	if m.unmapped[int(addr)/PageWords] {
@@ -225,7 +217,7 @@ func (m *Memory) Read(addr int64) (int64, *Fault) {
 	if f := m.Check(addr); f != nil {
 		return 0, f
 	}
-	return m.words[addr], nil
+	return m.word(addr), nil
 }
 
 // Write stores v at addr, or reports a fault.
@@ -233,7 +225,7 @@ func (m *Memory) Write(addr, v int64) *Fault {
 	if f := m.Check(addr); f != nil {
 		return f
 	}
-	m.words[addr] = v
+	m.set(addr, v)
 	return nil
 }
 
@@ -241,10 +233,49 @@ func (m *Memory) Write(addr, v int64) *Fault {
 // It panics on out-of-range addresses: that is a harness bug, not a
 // simulated fault.
 func (m *Memory) Poke(addr, v int64) {
-	m.words[addr] = v
+	m.inRange(addr)
+	m.set(addr, v)
 }
 
-// Peek reads the word at addr ignoring mapping.
+// Peek reads the word at addr ignoring mapping. Like Poke, it panics on
+// out-of-range addresses.
 func (m *Memory) Peek(addr int64) int64 {
-	return m.words[addr]
+	m.inRange(addr)
+	return m.word(addr)
+}
+
+func (m *Memory) inRange(addr int64) {
+	if uint64(addr) >= uint64(m.size) {
+		panic(&Fault{FaultBadAddress, addr})
+	}
+}
+
+// word returns the word at an in-range addr.
+func (m *Memory) word(addr int64) int64 {
+	if w := m.pages[uint64(addr)/PageWords].words; w != nil {
+		return w[uint64(addr)%PageWords]
+	}
+	return 0
+}
+
+// set stores v at an in-range addr, first copying its page unless m
+// owns it.
+func (m *Memory) set(addr, v int64) {
+	s := &m.pages[uint64(addr)/PageWords]
+	if !s.own {
+		s.copyPage()
+	}
+	s.words[uint64(addr)%PageWords] = v
+}
+
+// copyPage gives the slot a page of its own, with the words of the one
+// it shared (zeros for none). It allocates, on the per-cycle path of a
+// simulation, but at most once per page per run: the slot owns its page
+// from then on.
+func (s *slot) copyPage() {
+	w := new(page)
+	if s.words != nil {
+		*w = *s.words
+	}
+	s.words, s.own = w, true
 }

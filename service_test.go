@@ -192,6 +192,66 @@ func TestJobKeySeparatesConfigsProgramsAndState(t *testing.T) {
 	}
 }
 
+// goldenKeySrc is a program whose data image has non-zero .word values
+// in two pages, one of them past the first page boundary.
+const goldenKeySrc = `
+.word a 7
+.word b -3
+.base 5000
+.word c 0x123456789
+.array pad 4 11
+
+    lai   A7, 0
+    lds   S1, =a(A7)
+    lds   S2, =b(A7)
+    adds  S3, S1, S2
+    lds   S4, =c(A7)
+    adds  S3, S3, S4
+    sts   S3, =a(A7)
+    halt
+`
+
+// TestProgramKeyGolden pins ProgramKey's digests, so a change in how
+// memory or state is represented cannot move a content key: entries
+// that older builds wrote to a store must still be found.
+func TestProgramKeyGolden(t *testing.T) {
+	lll1, err := livermore.ByName("LLL1").Unit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, err := Assemble(goldenKeySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Config{Engine: EngineRUU, Entries: 50, Bypass: BypassLimited}
+	spec.Machine.Speculate = true
+	cases := []struct {
+		name   string
+		cfg    Config
+		u      *Unit
+		verify bool
+		want   string
+	}{
+		{"LLL1/ruu-12", Config{Engine: EngineRUU, Entries: 12}, lll1, true,
+			"0cfc6e11a40ec2b05569c5b7b61243fc90a13d789d2a7fcbe7e67f42c9321638"},
+		{"LLL1/rstu-10-2p", Config{Engine: EngineRSTU, Entries: 10, Paths: 2}, lll1, false,
+			"bf32dccf27710072151d6845e9485556c720fe103dd8c423789ec42332b5d551"},
+		{"LLL1/ruu-50-spec", spec, lll1, true,
+			"5a75f1dd1f1eb80fd98f78aeb1b802482dc6ae9c0a8f554f343748f42144e857"},
+		{"words/ruu-12", Config{Engine: EngineRUU, Entries: 12}, words, true,
+			"5d3cf674a13d3ad365b635b4f185c2a787f17523f56d4b5a8f3e2e94598e5209"},
+		{"words/rstu-10-2p", Config{Engine: EngineRSTU, Entries: 10, Paths: 2}, words, false,
+			"07502901ee2f3d043ff8d60f567739f65509bdb1d825d67c1b8aba602eb6a0af"},
+		{"words/ruu-50-spec", spec, words, true,
+			"c507bdb8a015975b2105bb724a8a7ee49bfddd930e1f98600334aee30f03c3b4"},
+	}
+	for _, c := range cases {
+		if got := fmt.Sprintf("%x", ProgramKey(c.cfg, c.u, c.verify)); got != c.want {
+			t.Errorf("%s: ProgramKey = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 // TestVerifyStateRejectsWrongFinalState feeds the verify step a final
 // state that is right but for one thing, for each of the three checks,
 // and pins the error text each one gives.
