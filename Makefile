@@ -21,8 +21,10 @@ race:
 # fuzz-smoke gives each fuzz target 10 s of fuzzing: the assembler
 # (FuzzAssemble), the parcel decoder (FuzzDecode), the copy-on-write
 # memory image against a flat model (FuzzMemory), the store's entry
-# framing (FuzzDecodeEntry) and its persisted-value codec
-# (FuzzDecodeCached). Plain `go test` runs only their committed seeds;
+# framing (FuzzDecodeEntry), its persisted-value codec
+# (FuzzDecodeCached), and the HTTP request decoders with their
+# validation (FuzzSimulateRequest, FuzzBatchRequest; no simulation
+# runs). Plain `go test` runs only their committed seeds;
 # a crasher found here is written under the package's testdata/fuzz and
 # fails every later `go test`.
 fuzz-smoke:
@@ -31,6 +33,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 10s ./internal/memsys
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCached$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzSimulateRequest$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s ./internal/server
 
 vet:
 	$(GO) vet ./...

@@ -59,7 +59,7 @@ func main() {
 		addr      = flag.String("addr", ":8093", "listen address")
 		debugAddr = flag.String("debug-addr", "", "admin listen address for /debug/pprof/ (empty = disabled)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the simulation scheduler")
-		cachesize = flag.Int("cachesize", ruu.DefaultCacheEntries, "result-cache capacity in entries (0 = default, negative = disabled)")
+		cachesize = flag.Int("cachesize", ruu.DefaultCacheEntries, "result-cache capacity in entries (0 = default, negative = disabled: no content key is computed and identical concurrent submissions each run)")
 		maxBody   = flag.Int64("max-body", server.DefaultMaxRequestBytes, "request body size limit in bytes")
 		timeout   = flag.Duration("timeout", server.DefaultRequestTimeout, "per-request simulation deadline")
 		drainFor  = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")

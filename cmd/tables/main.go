@@ -47,7 +47,7 @@ func main() {
 	markdown := flag.Bool("markdown", false, "emit markdown instead of aligned text")
 	csv := flag.Bool("csv", false, "emit comma-separated values (for plotting)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the simulation scheduler (1 = serial)")
-	cachesize := flag.Int("cachesize", ruu.DefaultCacheEntries, "result-cache capacity in entries (0 = default, negative = disabled)")
+	cachesize := flag.Int("cachesize", ruu.DefaultCacheEntries, "result-cache capacity in entries (0 = default, negative = disabled: no content key is computed and identical concurrent submissions each run)")
 	flag.Parse()
 
 	ctx := context.Background()

@@ -339,9 +339,11 @@ type Engine struct {
 	tuFree []int32
 
 	// memQueue is a ring of the station indices of unbound memory
-	// operations, program order from memHead.
-	memQueue        []int32
-	memHead, memLen int
+	// operations, program order from memHead. Its length is a power of
+	// two at least the station count, so a position is taken with
+	// memMask rather than a division every cycle.
+	memQueue                 []int32
+	memHead, memLen, memMask int
 
 	// ring files in-flight results by the result-bus cycle each one
 	// reserved: slot c&ringMask holds the result broadcast in cycle c.
@@ -414,7 +416,12 @@ func New(cfg Config) *Engine {
 	e.waiting = make([]list, tags)
 	e.wNext, e.wPrev = make([]int32, 2*n), make([]int32, 2*n)
 	e.rNext, e.rPrev = make([]int32, n), make([]int32, n)
-	e.memQueue = make([]int32, n)
+	qs := 1
+	for qs < n {
+		qs <<= 1
+	}
+	e.memQueue = make([]int32, qs)
+	e.memMask = qs - 1
 	return e
 }
 
@@ -731,14 +738,12 @@ func (e *Engine) start(c int64, idx int, done, value int64) {
 
 // memAt returns the k-th position of the memory queue from its head.
 func (e *Engine) memAt(k int) *int32 {
-	return &e.memQueue[(e.memHead+k)%len(e.memQueue)]
+	return &e.memQueue[(e.memHead+k)&e.memMask]
 }
 
 // popMem drops the head of the memory queue.
 func (e *Engine) popMem() {
-	if e.memHead++; e.memHead == len(e.memQueue) {
-		e.memHead = 0
-	}
+	e.memHead = (e.memHead + 1) & e.memMask
 	e.memLen--
 }
 

@@ -17,6 +17,13 @@
 //   - the cache key (Key) covers everything that determines a result,
 //     so a hit is indistinguishable from a re-run.
 //
+// A content key costs a hash over the job's whole input (a program's
+// memory image is 256 KiB), and only a cache uses it: for lookups and
+// for deduplicating identical in-flight jobs. So Submit takes the key
+// as a function and calls it only on a pool with a cache; a pool
+// without one computes no key, caches nothing and deduplicates
+// nothing, and every submission runs.
+//
 // The pool is one of the two places in the module where goroutines are
 // allowed (the other is internal/server); the ruulint simdeterminism
 // pass covers this package, and every goroutine/select below carries
@@ -43,7 +50,9 @@ type Config struct {
 	// QueueDepth bounds the job queue; a full queue applies
 	// backpressure to Submit (default 4x Workers).
 	QueueDepth int
-	// Cache, when non-nil, memoises results of keyed jobs.
+	// Cache, when non-nil, memoises results of keyed jobs and
+	// deduplicates identical concurrent ones. When nil, Submit computes
+	// no content key at all and every submission runs.
 	Cache *Cache
 }
 
@@ -172,35 +181,43 @@ func (p *Pool) spanHook() func(obs.Span) {
 }
 
 // Submit enqueues a job, blocking for queue space (backpressure) until
-// ctx is cancelled. The key makes the job cacheable and deduplicates
-// concurrent submissions: a second Submit of an in-flight key shares
-// the first one's ticket (whose execution context is the first
-// submitter's). NoKey skips both.
+// ctx is cancelled. key, when the pool has a cache, supplies the job's
+// content address: it makes the job cacheable and deduplicates
+// concurrent submissions, so a second Submit of an in-flight key
+// shares the first one's ticket (whose execution context is the first
+// submitter's). A nil key, or one returning NoKey, skips both.
+//
+// A pool with no cache never calls key, so on such a pool every
+// submission runs, identical concurrent ones included.
 //
 // The returned ticket resolves with the job's result; a job whose
 // context is cancelled before a worker picks it up resolves with the
 // context's error.
-func (p *Pool) Submit(ctx context.Context, key Key, run func(ctx context.Context) (any, error)) (*Ticket, error) {
-	if !key.IsZero() && p.cache != nil {
-		if v, ok := p.cache.Get(key); ok {
+func (p *Pool) Submit(ctx context.Context, key func() Key, run func(ctx context.Context) (any, error)) (*Ticket, error) {
+	var k Key
+	if p.cache != nil && key != nil {
+		k = key()
+	}
+	if !k.IsZero() {
+		if v, ok := p.cache.Get(k); ok {
 			return doneTicket(v, nil, true), nil
 		}
 	}
 	t := newTicket()
-	if !key.IsZero() {
+	if !k.IsZero() {
 		p.mu.Lock()
-		if prior, ok := p.inflight[key]; ok {
+		if prior, ok := p.inflight[k]; ok {
 			p.mu.Unlock()
 			p.deduped.Add(1)
 			return prior, nil
 		}
-		p.inflight[key] = t
+		p.inflight[k] = t
 		p.mu.Unlock()
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		p.forget(key, t)
+		p.forget(k, t)
 		return nil, fmt.Errorf("sched: pool is closed")
 	}
 	// Register the send under the same lock as the closed-check, so
@@ -208,7 +225,7 @@ func (p *Pool) Submit(ctx context.Context, key Key, run func(ctx context.Context
 	p.sending.Add(1)
 	p.mu.Unlock()
 	defer p.sending.Done()
-	j := &job{ctx: ctx, key: key, run: run, ticket: t}
+	j := &job{ctx: ctx, key: k, run: run, ticket: t}
 	if p.spanHook() != nil {
 		// Wall-clock submission stamp for the job's telemetry span:
 		// operational queue-wait measurement only, invisible to the
@@ -223,7 +240,7 @@ func (p *Pool) Submit(ctx context.Context, key Key, run func(ctx context.Context
 		p.submitted.Add(1)
 		return t, nil
 	case <-ctx.Done():
-		p.forget(key, t)
+		p.forget(k, t)
 		return nil, ctx.Err()
 	}
 }
@@ -305,7 +322,7 @@ func (p *Pool) runJob(worker int, j *job) {
 		p.failed.Add(1)
 	} else {
 		p.completed.Add(1)
-		if !j.key.IsZero() && p.cache != nil {
+		if !j.key.IsZero() {
 			p.cache.Put(j.key, v)
 		}
 	}
@@ -340,7 +357,7 @@ type Metrics struct {
 	// Submitted counts jobs accepted into the queue; Completed and
 	// Failed the finished ones; Panics the jobs that crashed (a subset
 	// of Failed); Deduped the submissions that joined an in-flight
-	// ticket.
+	// ticket, which happens only on a pool with a cache.
 	Submitted int64 `json:"submitted"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
@@ -375,8 +392,9 @@ func (p *Pool) Cache() *Cache { return p.cache }
 // Map runs f(ctx, i) for i in [0, n) and returns the results in index
 // order — the property that makes a parallel sweep byte-identical to a
 // serial one. key, when non-nil, provides the content address for item
-// i (NoKey for uncacheable items). On error, Map returns the
-// lowest-index error, matching what a serial loop would have reported.
+// i (NoKey for uncacheable items); like Submit, Map calls it only on a
+// pool with a cache. On error, Map returns the lowest-index error,
+// matching what a serial loop would have reported.
 //
 // With a nil pool, Map degrades to the plain serial loop (no
 // goroutines at all), stopping at the first error.
@@ -407,9 +425,9 @@ func MapNamed[T any](ctx context.Context, p *Pool, n int, name func(i int) strin
 	var submitErr error
 	for i := 0; i < n; i++ {
 		i := i
-		var k Key
+		var k func() Key
 		if key != nil {
-			k = key(i)
+			k = func() Key { return key(i) }
 		}
 		ictx := ctx
 		if name != nil {

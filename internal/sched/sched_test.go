@@ -97,7 +97,7 @@ func TestMapLowestIndexError(t *testing.T) {
 func TestPanicBecomesJobError(t *testing.T) {
 	p := New(Config{Workers: 1})
 	defer p.Close()
-	tk, err := p.Submit(context.Background(), NoKey, func(context.Context) (any, error) {
+	tk, err := p.Submit(context.Background(), nil, func(context.Context) (any, error) {
 		panic("simulated engine bug")
 	})
 	if err != nil {
@@ -108,7 +108,7 @@ func TestPanicBecomesJobError(t *testing.T) {
 		t.Fatalf("panic not converted to error: %v", err)
 	}
 	// The pool survives: the next job still runs.
-	tk, err = p.Submit(context.Background(), NoKey, func(context.Context) (any, error) {
+	tk, err = p.Submit(context.Background(), nil, func(context.Context) (any, error) {
 		return 42, nil
 	})
 	if err != nil {
@@ -129,7 +129,7 @@ func TestSubmitBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	block := func(context.Context) (any, error) { <-release; return nil, nil }
 	// Fill the worker and the queue.
-	if _, err := p.Submit(context.Background(), NoKey, block); err != nil {
+	if _, err := p.Submit(context.Background(), nil, block); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the worker to pick up the first job so the queue slot is
@@ -141,14 +141,14 @@ func TestSubmitBackpressure(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := p.Submit(context.Background(), NoKey, block); err != nil {
+	if _, err := p.Submit(context.Background(), nil, block); err != nil {
 		t.Fatal(err)
 	}
 	// The queue is now full: a submit with a short deadline must fail
 	// with the context error instead of blocking forever.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := p.Submit(ctx, NoKey, block)
+	_, err := p.Submit(ctx, nil, block)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("full queue submit: err = %v, want deadline exceeded", err)
 	}
@@ -161,7 +161,7 @@ func TestCancelledJobNeverRuns(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Bool
-	tk, err := p.Submit(ctx, NoKey, func(context.Context) (any, error) {
+	tk, err := p.Submit(ctx, nil, func(context.Context) (any, error) {
 		ran.Store(true)
 		return nil, nil
 	})
@@ -214,7 +214,7 @@ func TestPoolCacheRoundTrip(t *testing.T) {
 	p := New(Config{Workers: 2, Cache: NewCache(16)})
 	defer p.Close()
 	var runs atomic.Int64
-	k := keyOf("job")
+	k := func() Key { return keyOf("job") }
 	run := func(context.Context) (any, error) {
 		runs.Add(1)
 		return "result", nil
@@ -245,43 +245,72 @@ func TestPoolCacheRoundTrip(t *testing.T) {
 }
 
 func TestSingleflightDedup(t *testing.T) {
-	p := New(Config{Workers: 4, Cache: NewCache(16)})
-	defer p.Close()
-	var runs atomic.Int64
-	release := make(chan struct{})
-	k := keyOf("dup")
-	run := func(context.Context) (any, error) {
-		runs.Add(1)
-		<-release
-		return "v", nil
-	}
-	t1, err := p.Submit(context.Background(), k, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := p.Submit(context.Background(), k, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t2 {
-		t.Fatal("concurrent same-key submits got distinct tickets")
-	}
-	close(release)
-	if _, err := t2.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if runs.Load() != 1 {
-		t.Fatalf("job ran %d times, want 1", runs.Load())
-	}
-	if m := p.Metrics(); m.Deduped != 1 {
-		t.Fatalf("deduped = %d, want 1", m.Deduped)
+	// With a cache, two concurrent same-key submissions share one
+	// ticket and one run. Without one, the pool never computes the key,
+	// so neither is deduplicated and both run.
+	for _, tc := range []struct {
+		name      string
+		cache     *Cache
+		wantKeys  int64 // calls of the key function
+		wantRuns  int64
+		wantDedup int64
+	}{
+		{"cache", NewCache(16), 2, 1, 1},
+		{"no cache", nil, 0, 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(Config{Workers: 4, Cache: tc.cache})
+			defer p.Close()
+			var runs, keyCalls atomic.Int64
+			release := make(chan struct{})
+			// Unblock the jobs on every path, a failed check included,
+			// or the deferred Close waits for them forever.
+			var releaseOnce sync.Once
+			unblock := func() { releaseOnce.Do(func() { close(release) }) }
+			defer unblock()
+			key := func() Key {
+				keyCalls.Add(1)
+				return keyOf("dup")
+			}
+			run := func(context.Context) (any, error) {
+				runs.Add(1)
+				<-release
+				return "v", nil
+			}
+			t1, err := p.Submit(context.Background(), key, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t2, err := p.Submit(context.Background(), key, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared := t1 == t2; shared != (tc.wantDedup == 1) {
+				t.Fatalf("tickets shared = %v, want %v", shared, tc.wantDedup == 1)
+			}
+			unblock()
+			for _, tk := range []*Ticket{t1, t2} {
+				if v, err := tk.Wait(context.Background()); err != nil || v.(string) != "v" {
+					t.Fatalf("wait: %v %v", v, err)
+				}
+			}
+			if runs.Load() != tc.wantRuns {
+				t.Fatalf("job ran %d times, want %d", runs.Load(), tc.wantRuns)
+			}
+			if m := p.Metrics(); m.Deduped != tc.wantDedup {
+				t.Fatalf("deduped = %d, want %d", m.Deduped, tc.wantDedup)
+			}
+			if keyCalls.Load() != tc.wantKeys {
+				t.Fatalf("key computed %d times, want %d", keyCalls.Load(), tc.wantKeys)
+			}
+		})
 	}
 }
 
 func TestErrorsAreNotCached(t *testing.T) {
 	p := New(Config{Workers: 1, Cache: NewCache(16)})
 	defer p.Close()
-	k := keyOf("flaky")
+	k := func() Key { return keyOf("flaky") }
 	var runs atomic.Int64
 	fail := func(context.Context) (any, error) { runs.Add(1); return nil, errors.New("boom") }
 	ok := func(context.Context) (any, error) { runs.Add(1); return "fine", nil }
@@ -304,7 +333,7 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 	var done atomic.Int64
 	var tickets []*Ticket
 	for i := 0; i < 5; i++ {
-		tk, err := p.Submit(context.Background(), NoKey, func(context.Context) (any, error) {
+		tk, err := p.Submit(context.Background(), nil, func(context.Context) (any, error) {
 			time.Sleep(time.Millisecond)
 			done.Add(1)
 			return nil, nil
@@ -323,7 +352,7 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.Submit(context.Background(), NoKey, func(context.Context) (any, error) { return nil, nil }); err == nil {
+	if _, err := p.Submit(context.Background(), nil, func(context.Context) (any, error) { return nil, nil }); err == nil {
 		t.Fatal("submit after Close succeeded")
 	}
 	p.Close() // idempotent
@@ -340,7 +369,7 @@ func TestConcurrentSubmitAndClose(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 10; i++ {
-					tk, err := p.Submit(context.Background(), NoKey, func(context.Context) (any, error) {
+					tk, err := p.Submit(context.Background(), nil, func(context.Context) (any, error) {
 						return nil, nil
 					})
 					if err != nil {
@@ -380,7 +409,7 @@ func TestJobSpans(t *testing.T) {
 	})
 
 	ctx := obs.WithRequestID(context.Background(), "req-42")
-	k := keyOf("span-job")
+	k := func() Key { return keyOf("span-job") }
 	run := func(context.Context) (any, error) { return 7, nil }
 
 	tk, err := p.Submit(obs.WithJobName(ctx, "seed 0"), k, run)

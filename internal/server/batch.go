@@ -42,8 +42,9 @@ const (
 )
 
 // batchItem is one entry of a batch: a machine configuration plus
-// exactly one program source, mirroring POST /v1/simulate minus the
-// per-request timeout (the stream is paced by the client reading it).
+// exactly one program source. POST /v1/simulate takes one item plus a
+// per-request timeout (a batch's stream is paced by the client reading
+// it).
 type batchItem struct {
 	machineRequest
 	Asm    string `json:"asm,omitempty"`
@@ -151,31 +152,42 @@ func buildBatchJob(it batchItem) (batchJob, error) {
 	}, nil
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.refuseIfDraining(w) {
-		return
-	}
+// readBatch decodes and validates a POST /v1/batch body without
+// running anything. When it reports false it has already written the
+// 400, 413 or 422.
+func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) ([]batchJob, bool) {
 	var req batchRequest
 	if !s.decode(w, r, &req) {
-		return
+		return nil, false
 	}
 	if len(req.Items) == 0 {
 		writeError(w, http.StatusUnprocessableEntity, "items must be non-empty")
-		return
+		return nil, false
 	}
 	if s.maxBatchItems > 0 && len(req.Items) > s.maxBatchItems {
 		writeError(w, http.StatusUnprocessableEntity,
 			"batch exceeds %d items", s.maxBatchItems)
-		return
+		return nil, false
 	}
 	jobs := make([]batchJob, len(req.Items))
 	for i, it := range req.Items {
 		j, err := buildBatchJob(it)
 		if err != nil {
 			writeUnprocessable(w, fmt.Errorf("item %d: %w", i, err))
-			return
+			return nil, false
 		}
 		jobs[i] = j
+	}
+	return jobs, true
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	if s.refuseIfDraining(w) {
+		return
+	}
+	jobs, ok := s.readBatch(w, r)
+	if !ok {
+		return
 	}
 
 	ck := clientKey(r)

@@ -28,7 +28,6 @@ import (
 
 	"ruu"
 	"ruu/internal/asm"
-	"ruu/internal/livermore"
 	"ruu/internal/obs"
 	"ruu/internal/store"
 )
@@ -302,16 +301,11 @@ func (m machineRequest) engineName() string {
 	return m.Engine
 }
 
-// simulateRequest is the body of POST /v1/simulate: a machine
-// configuration plus exactly one program source — inline assembly or a
-// built-in Livermore kernel name.
+// simulateRequest is the body of POST /v1/simulate: one batch item
+// (a machine configuration plus exactly one program source) and a
+// per-request timeout.
 type simulateRequest struct {
-	machineRequest
-	Asm    string `json:"asm,omitempty"`
-	Kernel string `json:"kernel,omitempty"`
-	// Verify (default true) checks the final state against the
-	// functional reference.
-	Verify *bool `json:"verify,omitempty"`
+	batchItem
 	// TimeoutMS shortens the server's per-request deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
@@ -324,43 +318,28 @@ type simulateResponse struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
+// readSimulate decodes and validates a POST /v1/simulate body without
+// running anything. When it reports false it has already written the
+// 400, 413 or 422.
+func (s *Server) readSimulate(w http.ResponseWriter, r *http.Request) (simulateRequest, batchJob, bool) {
+	var req simulateRequest
+	if !s.decode(w, r, &req) {
+		return req, batchJob{}, false
+	}
+	job, err := buildBatchJob(req.batchItem)
+	if err != nil {
+		writeUnprocessable(w, err)
+		return req, batchJob{}, false
+	}
+	return req, job, true
+}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if s.refuseIfDraining(w) {
 		return
 	}
-	var req simulateRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	cfg, err := req.config()
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	var unit *ruu.Unit
-	switch {
-	case req.Asm != "" && req.Kernel != "":
-		writeError(w, http.StatusUnprocessableEntity, "asm and kernel are mutually exclusive")
-		return
-	case req.Asm != "":
-		unit, err = ruu.Assemble(req.Asm)
-		if err != nil {
-			writeUnprocessable(w, err)
-			return
-		}
-	case req.Kernel != "":
-		k := livermore.ByName(req.Kernel)
-		if k == nil {
-			writeError(w, http.StatusUnprocessableEntity, "unknown kernel %q", req.Kernel)
-			return
-		}
-		unit, err = k.Unit()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	default:
-		writeError(w, http.StatusUnprocessableEntity, "need asm or kernel")
+	req, job, ok := s.readSimulate(w, r)
+	if !ok {
 		return
 	}
 
@@ -374,11 +353,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		obs.WithJobName(r.Context(), "simulate "+req.engineName()), timeout)
 	defer cancel()
 
-	verify := req.Verify == nil || *req.Verify
 	// Service latency is operational telemetry about this process, not
 	// simulation state; the simulated machine never sees it. //ruulint:ok simdeterminism
 	start := time.Now()
-	out, err := s.runner.RunProgram(ctx, cfg, unit, verify)
+	out, err := s.runner.RunProgram(ctx, job.cfg, job.unit, job.verify)
 	// Same telemetry clock as above; never enters a simulation. //ruulint:ok simdeterminism
 	elapsed := time.Since(start)
 	if err != nil {

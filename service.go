@@ -39,7 +39,9 @@ type RunnerConfig struct {
 	// QueueDepth bounds the pool's job queue (default 4x Workers).
 	QueueDepth int
 	// CacheEntries sizes the content-addressed result cache (default
-	// DefaultCacheEntries; negative disables caching).
+	// DefaultCacheEntries; negative disables caching). With the cache
+	// disabled no content key is computed: nothing is cached, and
+	// identical concurrent submissions each run.
 	CacheEntries int
 	// Store, when non-nil, layers a disk-backed persistent result
 	// store under the in-memory cache (ignored when caching is
@@ -403,7 +405,7 @@ func (r *Runner) SubmitProgram(ctx context.Context, cfg Config, u *Unit, verify 
 			return v.(SimOutcome), nil
 		}, nil
 	}
-	t, err := p.Submit(ctx, ProgramKey(cfg, u, verify), run)
+	t, err := p.Submit(ctx, func() sched.Key { return ProgramKey(cfg, u, verify) }, run)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +422,8 @@ func (r *Runner) SubmitProgram(ctx context.Context, cfg Config, u *Unit, verify 
 // job, returning the run statistics. With verify set, the final state
 // is checked against the functional reference and a mismatch is an
 // error. Identical submissions (same config, program, initial state)
-// are answered from the content-addressed cache.
+// are answered from the content-addressed cache, when the Runner has
+// one.
 func (r *Runner) RunProgram(ctx context.Context, cfg Config, u *Unit, verify bool) (SimOutcome, error) {
 	wait, err := r.SubmitProgram(ctx, cfg, u, verify)
 	if err != nil {

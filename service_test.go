@@ -32,13 +32,19 @@ func TestParallelSweepByteIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial Sweep: %v", err)
 	}
-	par, err := parallelRunner(t).Sweep(context.Background(), cfg, sweepTestSizes)
-	if err != nil {
-		t.Fatalf("parallel Sweep: %v", err)
-	}
-	got, want := fmt.Sprintf("%#v", par), fmt.Sprintf("%#v", serial)
-	if got != want {
-		t.Errorf("parallel sweep diverges from serial:\n got %s\nwant %s", got, want)
+	// The uncached Runner computes no content keys, so it also checks
+	// that a sweep's result never depends on the key.
+	for _, rc := range []RunnerConfig{{Workers: 4}, {Workers: 4, CacheEntries: -1}} {
+		r := NewRunner(rc)
+		t.Cleanup(r.Close)
+		par, err := r.Sweep(context.Background(), cfg, sweepTestSizes)
+		if err != nil {
+			t.Fatalf("parallel Sweep (CacheEntries %d): %v", rc.CacheEntries, err)
+		}
+		got, want := fmt.Sprintf("%#v", par), fmt.Sprintf("%#v", serial)
+		if got != want {
+			t.Errorf("parallel sweep (CacheEntries %d) diverges from serial:\n got %s\nwant %s", rc.CacheEntries, got, want)
+		}
 	}
 }
 
