@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke vet bench bench-json bench-smoke lint lint-fix-check dfa analyze serve quickstart-http
+.PHONY: all build test race fuzz-smoke vet bench bench-json bench-smoke lint lint-fix-check analyze serve quickstart-http
 
 all: build test vet lint analyze
 
@@ -89,9 +89,6 @@ analyze:
 	if [ $$st -ne 0 ] && [ $$st -ne 1 ] ; then exit $$st; fi; \
 	$(GO) run ./cmd/ruudfa
 	$(GO) run ./cmd/ruudfa examples/asm/*.s
-
-# dfa is the historical name for the analyze gate.
-dfa: analyze
 
 # serve runs the ruuserve HTTP API on :8093 (see docs/SERVICE.md).
 serve:

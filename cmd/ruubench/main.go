@@ -16,6 +16,9 @@
 // (default 1.30, i.e. 30%) against the comparison baseline. The normal
 // run mode reports regressions without failing (single-run noise);
 // -compare exits non-zero so CI can gate on a deliberate comparison.
+// Both diffs also print the median new/old ns/op ratio over the
+// benchmarks the two files share, to tell host drift from a real
+// regression; it does not affect the exit status.
 package main
 
 import (
@@ -344,6 +347,7 @@ func report(w io.Writer, old, cur *File, threshold float64) int {
 	}
 	regressions := 0
 	kept := map[string]bool{}
+	var ratios []float64
 	for _, r := range cur.Benchmarks {
 		kept[r.Name] = true
 		p, ok := prev[r.Name]
@@ -352,6 +356,7 @@ func report(w io.Writer, old, cur *File, threshold float64) int {
 			continue
 		}
 		ratio := r.NsPerOp / p.NsPerOp
+		ratios = append(ratios, ratio)
 		verdict := ""
 		if ratio > threshold {
 			verdict = "  REGRESSION"
@@ -365,8 +370,34 @@ func report(w io.Writer, old, cur *File, threshold float64) int {
 			fmt.Fprintf(w, "%-28s (removed)\n", r.Name)
 		}
 	}
+	if len(ratios) > 0 {
+		printDrift(w, ratios)
+	}
 	if regressions > 0 {
 		fmt.Fprintf(w, "%d regression(s) beyond %.0f%% threshold\n", regressions, (threshold-1)*100)
 	}
 	return regressions
+}
+
+// printDrift prints the median new/old ns/op ratio over the benchmarks
+// both files hold, and how many got slower or faster. A median far from
+// 1 with most benchmarks moving the same way is host drift; one
+// regression against a median near 1 is not.
+func printDrift(w io.Writer, ratios []float64) {
+	slower, faster := 0, 0
+	for _, r := range ratios {
+		if r > 1 {
+			slower++
+		} else if r < 1 {
+			faster++
+		}
+	}
+	sort.Float64s(ratios)
+	n := len(ratios)
+	median := ratios[n/2]
+	if n%2 == 0 {
+		median = (ratios[n/2-1] + ratios[n/2]) / 2
+	}
+	fmt.Fprintf(w, "median ratio %.3f (%+.1f%%) over %d shared benchmark(s): %d slower, %d faster\n",
+		median, (median-1)*100, n, slower, faster)
 }

@@ -14,10 +14,14 @@ func TestReportMarksNewAndRemoved(t *testing.T) {
 		{Name: "Kept", NsPerOp: 100},
 		{Name: "Gone", NsPerOp: 50},
 		{Name: "Slower", NsPerOp: 100},
+		{Name: "Faster", NsPerOp: 100},
+		{Name: "Same", NsPerOp: 100},
 	}}
 	cur := &File{Benchmarks: []Result{
 		{Name: "Kept", NsPerOp: 110},
 		{Name: "Slower", NsPerOp: 200},
+		{Name: "Faster", NsPerOp: 80},
+		{Name: "Same", NsPerOp: 100},
 		{Name: "Added", NsPerOp: 10},
 	}}
 	var out strings.Builder
@@ -25,7 +29,7 @@ func TestReportMarksNewAndRemoved(t *testing.T) {
 		t.Errorf("report counted %d regression(s), want 1", n)
 	}
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
-	want := []string{"Kept", "Slower", "Added", "Gone", "1 regression(s)"}
+	want := []string{"Kept", "Slower", "Faster", "Same", "Added", "Gone", "median ratio", "1 regression(s)"}
 	if len(lines) != len(want) {
 		t.Fatalf("report printed %d lines, want %d:\n%s", len(lines), len(want), out.String())
 	}
@@ -35,10 +39,17 @@ func TestReportMarksNewAndRemoved(t *testing.T) {
 		}
 	}
 	for _, c := range []struct{ line, mark string }{
-		{lines[1], "REGRESSION"}, {lines[2], "(new)"}, {lines[3], "(removed)"},
+		{lines[1], "REGRESSION"}, {lines[4], "(new)"}, {lines[5], "(removed)"},
 	} {
 		if !strings.Contains(c.line, c.mark) {
 			t.Errorf("line %q lacks %q", c.line, c.mark)
 		}
+	}
+	// Ratios 1.1, 2.0, 0.8 and 1.0 over the four shared benchmarks: the
+	// median of an even count is the mean of the middle two, an unchanged
+	// time is neither slower nor faster, and new and removed ones do not
+	// count.
+	if want := "median ratio 1.050 (+5.0%) over 4 shared benchmark(s): 2 slower, 1 faster"; lines[6] != want {
+		t.Errorf("drift line = %q, want %q", lines[6], want)
 	}
 }

@@ -2,9 +2,9 @@
 // (internal/analysis) over the module. They guard the paper's
 // invariants: determinism hygiene in simulation packages, obs probe
 // coverage in the issue engines, the precise-state mutation
-// discipline, the engine/policy contract (policycontract, on the SSA
-// layer), hot-path allocation freedom, enum switch exhaustiveness and
-// paper-constant conformance, plus the suppression meta-pass.
+// discipline, the engine/policy contract (policycontract), hot-path
+// allocation freedom, enum switch exhaustiveness and paper-constant
+// conformance, plus the suppression meta-pass.
 //
 // Usage:
 //

@@ -35,11 +35,9 @@
 //   - paperconst: model constants match internal/isa/paperconst.go; no
 //     drifted or restated magic numbers.
 //
-// The seventh, policycontract, adds per-function SSA (package ssa) to
-// the call graph: a state mutation outside the audited commit path
-// must target state built in the same function, engines emit probe
-// events only through the nil-guarded helpers, and no map iteration
-// orders an engine's issue surface.
+// The seventh, policycontract, checks the engine/policy interface:
+// engines emit probe events only through the nil-guarded helpers, and
+// no map iteration orders an engine's issue surface.
 //
 // An eighth, "suppression", lints the linter's own suppression
 // markers (see suppress.go).

@@ -22,8 +22,8 @@ var SimPackages = []string{
 }
 
 // EnginePackages lists the packages holding issue engines (relative to
-// the module path); the probeemit and precisestate passes run over
-// these.
+// the module path); the probeemit, precisestate and policycontract
+// passes run over these.
 var EnginePackages = []string{
 	"internal/issue",
 	"internal/machine",
@@ -162,7 +162,7 @@ func DefaultPasses(modulePath string) []*Pass {
 		}),
 		NewExhaustive([]string{modulePath}),
 		NewPaperConst(DefaultPaperSpec(modulePath)),
-		NewPolicyContract(allow, prefix(EnginePackages)...),
+		NewPolicyContract(prefix(EnginePackages)...),
 	}
 	names := make([]string, 0, len(passes)+1)
 	for _, p := range passes {

@@ -225,9 +225,9 @@ func (l *loader) load(path string) (*Package, error) {
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		// Instances resolves uses of generic functions and methods to
-		// their type arguments; without it the call graph and SSA
-		// builder would see instantiation sites as bare generic
-		// objects and could neither resolve nor version them.
+		// their type arguments; without it the call graph would see
+		// instantiation sites as bare generic objects and could
+		// neither resolve nor version them.
 		Instances: map[*ast.Ident]types.Instance{},
 		Implicits: map[ast.Node]types.Object{},
 	}

@@ -1,28 +1,7 @@
 package analysis
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestPolicyContractFixtures(t *testing.T) {
-	pkg := loadFixture(t, "policycontract")
-	allow := Allowlist{"policycontract": {"commit"}}
-	checkWants(t, pkg, NewPolicyContract(allow))
-}
-
-func TestPolicyContractEmptyAllowlist(t *testing.T) {
-	// With no allowlist, commit's architectural writes are findings too:
-	// the audited set is closed by configuration, not by naming.
-	pkg := loadFixture(t, "policycontract")
-	findings := Check([]*Package{pkg}, []*Pass{NewPolicyContract(nil)})
-	inCommit := 0
-	for _, f := range findings {
-		if strings.Contains(f.Message, "outside commit") {
-			inCommit++
-		}
-	}
-	if inCommit != 2 {
-		t.Errorf("empty allowlist: got %d commit findings, want 2: %v", inCommit, findings)
-	}
+	checkWants(t, loadFixture(t, "policycontract"), NewPolicyContract())
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // archMutators maps receiver type names to the methods that mutate
@@ -46,10 +47,18 @@ func (a Allowlist) allowed(pkgPath, fn string) bool {
 // the function to the allowlist in docs/ANALYSIS.md order: audit the
 // call site, then list it in DefaultPreciseStateAllow (or the engine's
 // own entry).
+//
+// A finding inside an engine (a type carrying the issue.Engine method
+// set) names the shortest call-graph route from an engine entry point
+// to the offending function, from the call graph the snapshot shares.
 func NewPreciseState(allow Allowlist, scope ...string) *Pass {
+	var graph *CallGraph
 	p := &Pass{
 		Name: "precisestate",
 		Doc:  "architectural register/memory writes only from allowlisted commit/writeback functions",
+		Init: func(snap *Snapshot) {
+			graph = snap.Graph()
+		},
 	}
 	p.Run = func(pkg *Package) []Finding {
 		if !inScope(pkg.Path, scope) {
@@ -57,25 +66,28 @@ func NewPreciseState(allow Allowlist, scope ...string) *Pass {
 		}
 		var out []Finding
 		for _, fd := range funcDecls(pkg) {
-			if fd.Body == nil {
+			if fd.Body == nil || allow.allowed(pkg.Path, fd.Name.Name) {
 				continue
 			}
-			fn := fd.Name.Name
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
 				recv, meth, ok := mutatorCall(pkg.Info, call)
-				if !ok || allow.allowed(pkg.Path, fn) {
+				if !ok {
 					return true
 				}
+				msg := fmt.Sprintf(
+					"architectural state mutation %s.%s outside the audited commit/writeback set for %s (allowed: %s)",
+					recv, meth, pkg.Path, allowedNames(allow, pkg.Path))
+				if path := entryPath(pkg, graph, fd); path != "" {
+					msg += "; reachable from " + path
+				}
 				out = append(out, Finding{
-					Pass: p.Name,
-					Pos:  pkg.Pos(call),
-					Message: fmt.Sprintf(
-						"architectural state mutation %s.%s outside the audited commit/writeback set for %s (allowed: %s); see docs/ANALYSIS.md before extending the allowlist",
-						recv, meth, pkg.Path, allowedNames(allow, pkg.Path)),
+					Pass:    p.Name,
+					Pos:     pkg.Pos(call),
+					Message: msg + "; see docs/ANALYSIS.md before extending the allowlist",
 				})
 				return true
 			})
@@ -114,12 +126,81 @@ func allowedNames(allow Allowlist, pkgPath string) string {
 		return "none"
 	}
 	sort.Strings(names)
-	s := ""
-	for i, n := range names {
-		if i > 0 {
-			s += ", "
+	return strings.Join(names, ", ")
+}
+
+// entryPath renders the shortest call-graph route from an engine entry
+// point to fd, e.g. "(*RUU).BeginCycle via tryWakeup -> broadcast".
+// Empty when no engine entry point reaches fd.
+func entryPath(pkg *Package, graph *CallGraph, fd *ast.FuncDecl) string {
+	target, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+	if target == nil {
+		return ""
+	}
+	entries := make([]string, 0, len(engineEntryPoints))
+	for entry := range engineEntryPoints {
+		entries = append(entries, entry)
+	}
+	sort.Strings(entries)
+	var best []*types.Func
+	var bestEntry *types.Func
+	for _, tn := range engineTypeNames(pkg) {
+		for _, entry := range entries {
+			root := graph.Lookup(pkg.Path, tn, entry)
+			if root == nil {
+				continue
+			}
+			p := callPath(graph, root, target)
+			if p != nil && (best == nil || len(p) < len(best)) {
+				best, bestEntry = p, root
+			}
 		}
-		s += n
+	}
+	if best == nil {
+		return ""
+	}
+	s := "(*" + namedRecvOf(bestEntry) + ")." + bestEntry.Name()
+	if len(best) > 1 {
+		via := make([]string, 0, len(best)-1)
+		for _, fn := range best[1:] {
+			via = append(via, fn.Name())
+		}
+		s += " via " + strings.Join(via, " -> ")
 	}
 	return s
+}
+
+// callPath BFSes the module call graph from root, returning the node
+// sequence root..target (shortest, deterministic), or nil.
+func callPath(graph *CallGraph, root, target *types.Func) []*types.Func {
+	if root == target {
+		return []*types.Func{root}
+	}
+	prev := map[*types.Func]*types.Func{root: root}
+	queue := []*types.Func{root}
+	for len(queue) > 0 {
+		fn := queue[0]
+		queue = queue[1:]
+		n := graph.nodes[fn]
+		if n == nil {
+			continue
+		}
+		for _, e := range n.edges {
+			if _, seen := prev[e.callee]; seen {
+				continue
+			}
+			prev[e.callee] = fn
+			if e.callee == target {
+				var path []*types.Func
+				for at := target; ; at = prev[at] {
+					path = append([]*types.Func{at}, path...)
+					if at == root {
+						return path
+					}
+				}
+			}
+			queue = append(queue, e.callee)
+		}
+	}
+	return nil
 }

@@ -1,23 +1,10 @@
 // Package policycontract holds fixtures for the policycontract pass:
 // the engine/policy interface contract. The type shapes mirror the real
-// repo by name — RegState/Memory mutators, a Probe interface behind a
-// Context with nil-guard helpers, and an Engine carrying the
-// issue-engine method-set fingerprint — because the pass fingerprints
-// structurally, never by import.
+// repo by name — a Probe interface behind a Context with nil-guard
+// helpers, and an Engine carrying the issue-engine method-set
+// fingerprint — because the pass fingerprints structurally, never by
+// import.
 package policycontract
-
-type Reg struct{ n int }
-
-// RegState mirrors exec.RegState.
-type RegState struct{ a [8]int64 }
-
-func (r *RegState) SetReg(reg Reg, v int64) { r.a[reg.n] = v }
-
-// Memory mirrors memsys.Memory.
-type Memory struct{ words []int64 }
-
-func (m *Memory) Write(addr, v int64) { m.words[addr] = v }
-func (m *Memory) Poke(addr, v int64)  { m.words[addr] = v }
 
 // Event and Probe mirror the obs observability surface.
 type Event struct{ Kind int }
@@ -27,8 +14,6 @@ type Probe interface{ Event(e Event) }
 // Context mirrors issue.Context: the nil-guard observability helpers.
 type Context struct {
 	Probe Probe
-	Regs  *RegState
-	Mem   *Memory
 }
 
 // Observe is the sanctioned path to the probe; the receiver-name
@@ -43,13 +28,11 @@ func (c *Context) Observe(e Event) {
 // TryIssue, Flush, Retired, InFlight, Drained).
 type Engine struct {
 	ctx     *Context
-	st      *RegState
 	ready   map[int]bool
 	pending []int
 }
 
 func (e *Engine) BeginCycle() {
-	e.writeback()
 	for id := range e.ready { // want `map iteration inside the issue surface`
 		_ = id
 	}
@@ -66,21 +49,9 @@ func (e *Engine) Retired() int  { return 0 }
 func (e *Engine) InFlight() int { return 0 }
 func (e *Engine) Drained() bool { return true }
 
-// writeback mutates architectural state off the audited set, reached
-// from the BeginCycle entry point.
-func (e *Engine) writeback() {
-	e.st.SetReg(Reg{1}, 42) // want `mutates architectural state .* reachable from \(\*Engine\)\.BeginCycle via writeback`
-}
-
 // wakeup is pulled into the issue surface by TryIssue.
 func (e *Engine) wakeup() {
 	for id := range e.ready { // want `map iteration inside the issue surface .*reached from \(\*Engine\)\.TryIssue`
 		_ = id
 	}
-}
-
-// scribble takes architectural state as a parameter: flows in from
-// outside, even though no entry point reaches it.
-func scribble(st *RegState) {
-	st.SetReg(Reg{0}, 7) // want `mutates architectural state`
 }

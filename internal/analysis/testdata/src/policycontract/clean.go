@@ -1,25 +1,5 @@
 package policycontract
 
-// commit is on the allowlist the test wires up: the audited
-// architectural boundary mutates freely.
-func (e *Engine) commit() {
-	e.st.SetReg(Reg{0}, 1)
-	e.ctx.Mem.Write(4096, 2)
-}
-
-// selfCheck mutates only state it constructed itself — a shadow copy
-// for cross-checking, not architectural state. The SSA receiver trace
-// is what tells this apart from writeback above.
-func (e *Engine) selfCheck() bool {
-	st := &RegState{}
-	st.SetReg(Reg{1}, 9)
-	var shadow RegState
-	shadow.SetReg(Reg{2}, 3)
-	copied := st
-	copied.SetReg(Reg{3}, 4)
-	return st.a[1] == e.st.a[1] && shadow.a[2] == 3
-}
-
 // observe routes events through the Context helper: the sanctioned
 // probe path.
 func (e *Engine) observe() {

@@ -99,7 +99,7 @@ func TestLivermoreLintClean(t *testing.T) {
 }
 
 // TestExamplesLintClean lints every standalone assembly file under
-// examples/, the same corpus `make dfa` gates in CI.
+// examples/, the same corpus `make analyze` gates in CI.
 func TestExamplesLintClean(t *testing.T) {
 	root := filepath.Join("..", "..", "examples")
 	found := 0
