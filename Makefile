@@ -62,9 +62,8 @@ bench-smoke:
 # produces every format off a single load and shared callgraph: the
 # plain-text findings (the CI problem matcher consumes these), JSON
 # lines in out/ruulint.json for tooling, a SARIF 2.1.0 log in
-# out/ruulint.sarif for GitHub code scanning, a per-pass timing
-# summary on stderr, and a machine-readable timing report in
-# out/lint-timings.json. Every run loads the module afresh: its own
+# out/ruulint.sarif for GitHub code scanning, and a per-pass timing
+# summary on stderr. Every run loads the module afresh: its own
 # packages type-check from source and the standard library comes from
 # the compiler's export data in the go build cache, so a whole run
 # takes about 0.45 s on a 2-vCPU host (3.5 s when the standard library
@@ -72,7 +71,7 @@ bench-smoke:
 lint:
 	$(GO) build ./...
 	@mkdir -p out
-	$(GO) run ./cmd/ruulint -out out/ruulint.json -sarif out/ruulint.sarif -timings -timings-out out/lint-timings.json ./...
+	$(GO) run ./cmd/ruulint -out out/ruulint.json -sarif out/ruulint.sarif -timings ./...
 
 # analyze runs ruudfa, the ISA-level static analysis (see docs/DFA.md):
 # value-aware program lint (abstract interpretation), the static

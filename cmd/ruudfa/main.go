@@ -16,11 +16,10 @@
 //	ruudfa -out f.json ...     # also write the JSON lines to a file
 //	ruudfa -sarif f.sarif ...  # also write a SARIF 2.1.0 log
 //	ruudfa -timings ...        # per-program wall-clock summary on stderr
-//	ruudfa -timings-out t.json # same summary as JSON
 //
-// The machine-output flag set (-json, -out, -sarif, -timings,
-// -timings-out) is shared with ruulint through
-// analysis.RegisterOutputFlags, so the two analysis CLIs cannot drift.
+// The machine-output flag set (-json, -out, -sarif, -timings) is
+// shared with ruulint through analysis.RegisterOutputFlags, so the two
+// analysis CLIs cannot drift.
 //
 // Lint findings print as program: severity: position: [rule] message,
 // deterministically ordered by (file, line, rule). Exit status: 0
@@ -50,7 +49,7 @@ func main() {
 	kernel := flag.String("kernel", "", "analyze one built-in Livermore kernel (LLL1..LLL14)")
 	out := analysis.RegisterOutputFlags(flag.CommandLine)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ruudfa [-json] [-out file] [-sarif file] [-timings] [-timings-out file] [-kernel NAME | file.s ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: ruudfa [-json] [-out file] [-sarif file] [-timings] [-kernel NAME | file.s ...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -96,7 +95,9 @@ func main() {
 		})
 		totalFindings += len(r.Findings)
 	}
-	timRep := analysis.NewTimingsReport("ruudfa", time.Since(start), 0, perProgram, totalFindings)
+	timRep := analysis.TimingsReport{
+		Command: "ruudfa", Total: time.Since(start), Findings: totalFindings, Passes: perProgram,
+	}
 
 	if out.SARIF != "" {
 		cwd, _ := os.Getwd()
@@ -125,11 +126,6 @@ func main() {
 	}
 	if out.Timings {
 		timRep.Print(os.Stderr)
-	}
-	if out.TimingsOut != "" {
-		if err := timRep.WriteFile(out.TimingsOut); err != nil {
-			fatal(err)
-		}
 	}
 
 	nErrors, nNotes := 0, 0

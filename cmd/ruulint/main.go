@@ -1,10 +1,9 @@
 // Command ruulint runs the repository's static-analysis passes
 // (internal/analysis) over the module. They guard the paper's
-// invariants: determinism hygiene in simulation packages, obs probe
-// coverage in the issue engines, the precise-state mutation
-// discipline, the engine/policy contract (policycontract), hot-path
-// allocation freedom, enum switch exhaustiveness and paper-constant
-// conformance, plus the suppression meta-pass.
+// invariants: determinism hygiene in simulation packages (total on map
+// iteration in the issue engines), the precise-state mutation
+// discipline, hot-path allocation freedom, enum switch exhaustiveness
+// and paper-constant conformance, plus the suppression meta-pass.
 //
 // Usage:
 //
@@ -13,7 +12,6 @@
 //	ruulint -json ./...        # one JSON object per finding per line
 //	ruulint -out f.json -sarif f.sarif ./...   # machine formats, one load
 //	ruulint -timings ./...     # wall-clock summary on stderr
-//	ruulint -timings-out t.json ./...          # same summary as JSON
 //
 // Every run loads the module afresh: its own packages type-check from
 // source, and the standard library comes from the compiler's export
@@ -48,7 +46,7 @@ func main() {
 	list := flag.Bool("list", false, "list the passes and exit")
 	out := analysis.RegisterOutputFlags(flag.CommandLine)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ruulint [-list] [-json] [-out file] [-sarif file] [-timings] [-timings-out file] [./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: ruulint [-list] [-json] [-out file] [-sarif file] [-timings] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -79,7 +77,10 @@ func main() {
 	loadElapsed := time.Since(start)
 	passes := analysis.DefaultPasses(mod.Path)
 	findings, passTimings := analysis.CheckSnapshot(analysis.NewSnapshot(mod.Packages), passes)
-	report := analysis.NewTimingsReport("ruulint", time.Since(start), loadElapsed, passTimings, len(findings))
+	report := analysis.TimingsReport{
+		Command: "ruulint", Total: time.Since(start), Load: loadElapsed,
+		Findings: len(findings), Passes: passTimings,
+	}
 
 	cwd, _ := os.Getwd()
 	if out.Out != "" {
@@ -114,11 +115,6 @@ func main() {
 	}
 	if out.Timings {
 		report.Print(os.Stderr)
-	}
-	if out.TimingsOut != "" {
-		if err := report.WriteFile(out.TimingsOut); err != nil {
-			fatal(err)
-		}
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "ruulint: %d finding(s)\n", len(findings))

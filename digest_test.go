@@ -54,11 +54,67 @@ func digestConfigs() []labeledConfig {
 	return cfgs
 }
 
+// checkLifecycle checks one run's event stream against the lifecycle
+// accounting every engine owes the observability layer: one Commit
+// event per committed instruction, each committed ID decoded before it
+// commits and committing once, and each ID with an Issue event ending
+// in exactly one Commit or exactly one Squash, never both. Branches
+// commit without an Issue event, so only the decode clause covers them.
+func checkLifecycle(events []ProbeEvent, instructions int64) error {
+	type life struct {
+		decoded, issued   bool
+		commits, squashes int
+	}
+	var ids []life
+	commits := int64(0)
+	for _, e := range events {
+		switch e.Kind {
+		case KindDecode, KindIssue, KindCommit, KindSquash:
+		default:
+			continue
+		}
+		if e.ID < 0 {
+			return fmt.Errorf("%v event at cycle %d carries no instruction id", e.Kind, e.Cycle)
+		}
+		for int64(len(ids)) <= e.ID {
+			ids = append(ids, life{})
+		}
+		l := &ids[e.ID]
+		switch e.Kind {
+		case KindDecode:
+			l.decoded = true
+		case KindIssue:
+			l.issued = true
+		case KindCommit:
+			commits++
+			l.commits++
+			if !l.decoded {
+				return fmt.Errorf("I%d commits without a decode", e.ID)
+			}
+			if l.commits > 1 {
+				return fmt.Errorf("I%d commits twice", e.ID)
+			}
+		case KindSquash:
+			l.squashes++
+		}
+	}
+	for id, l := range ids {
+		if l.issued && l.commits+l.squashes != 1 {
+			return fmt.Errorf("I%d issued, then committed %d and squashed %d time(s); want exactly one of the two", id, l.commits, l.squashes)
+		}
+	}
+	if commits != instructions {
+		return fmt.Errorf("%d commit events for %d committed instructions", commits, instructions)
+	}
+	return nil
+}
+
 // configDigest runs the 14 kernels under cfg with a ProbeRecorder
-// attached and returns one SHA-256 over, per kernel in order: the cycle
-// count, the stall vector, every probe event and every per-cycle
-// sample.
-func configDigest(t *testing.T, cfg Config) string {
+// attached, checks each run's lifecycle accounting, and returns one
+// SHA-256 over, per kernel in order: the cycle count, the stall
+// vector, every probe event and every per-cycle sample. label names
+// the configuration in failures.
+func configDigest(t *testing.T, label string, cfg Config) string {
 	h := sha256.New()
 	var buf []byte
 	rec := NewProbeRecorder()
@@ -84,6 +140,9 @@ func configDigest(t *testing.T, cfg Config) string {
 		}
 		if err := k.Verify(st); err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
+		}
+		if err := checkLifecycle(rec.Events, res.Stats.Instructions); err != nil {
+			t.Fatalf("%s, %s: lifecycle: %v", label, k.Name, err)
 		}
 		buf = binary.AppendVarint(buf[:0], res.Stats.Cycles)
 		for _, n := range res.Stats.Stalls {
@@ -113,7 +172,8 @@ func configDigest(t *testing.T, cfg Config) string {
 // TestEngineEquivalenceDigest pins, for every table and ablation
 // configuration, a digest of the complete observable timing behaviour
 // over the Livermore kernels: cycles, stall vectors, the probe event
-// stream and the per-cycle samples. The cycle-count goldens cover a
+// stream and the per-cycle samples. Each run's stream must also pass
+// checkLifecycle, so no engine drops or doubles a commit or squash. The cycle-count goldens cover a
 // spread of configurations by their totals; this covers all of them
 // event by event, so a restructured engine that changes any event of
 // any run fails here. Regenerate with -run TestEngineEquivalenceDigest
@@ -123,7 +183,7 @@ func TestEngineEquivalenceDigest(t *testing.T) {
 		c := c
 		t.Run(c.label, func(t *testing.T) {
 			t.Parallel()
-			got := configDigest(t, c.cfg)
+			got := configDigest(t, c.label, c.cfg)
 			want, ok := engineDigests[c.label]
 			if !ok {
 				t.Fatalf("no pinned digest: %q: %q,", c.label, got)

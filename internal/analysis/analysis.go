@@ -13,15 +13,13 @@
 // every configuration, so the disciplines scale with the codebase
 // instead of with reviewer attention. See docs/ANALYSIS.md.
 //
-// Seven passes ship (see their files for details, and docs/ANALYSIS.md
-// for the catalog). Three are syntactic invariant checks over the
+// Five passes ship (see their files for details, and docs/ANALYSIS.md
+// for the catalog). Two are syntactic invariant checks over the
 // simulation core:
 //
 //   - simdeterminism: no wall-clock time, global math/rand, goroutines,
 //     channel selects, or order-sensitive map iteration in simulation
-//     packages.
-//   - probeemit: engine code that retires or squashes instructions must
-//     emit the matching obs lifecycle event.
+//     packages, and no map iteration at all in an engine package.
 //   - precisestate: architectural register-file and memory writes only
 //     from allowlisted commit/writeback functions.
 //
@@ -35,12 +33,16 @@
 //   - paperconst: model constants match internal/isa/paperconst.go; no
 //     drifted or restated magic numbers.
 //
-// The seventh, policycontract, checks the engine/policy interface:
-// engines emit probe events only through the nil-guarded helpers, and
-// no map iteration orders an engine's issue surface.
+// A sixth, "suppression", lints the linter's own suppression markers
+// (see suppress.go).
 //
-// An eighth, "suppression", lints the linter's own suppression
-// markers (see suppress.go).
+// Two engine contracts are held outside this package, where they are
+// checked exactly: the root package's engine-equivalence digest test
+// asserts every engine's lifecycle events (each committed instruction
+// was decoded and commits once; each issued one ends in one commit or
+// one squash) over every table configuration, and issue.Context keeps its probe
+// unexported, so an engine can reach it only through the nil-guarded
+// emission helpers.
 //
 // The service layer (internal/sched, internal/server, internal/store)
 // is guarded by its tests, go vet and the race detector instead of by

@@ -25,7 +25,7 @@ func TestOutputFlagsCanonical(t *testing.T) {
 	RegisterOutputFlags(b)
 	fa, fb := collect(a), collect(b)
 
-	wantNames := []string{"json", "out", "sarif", "timings", "timings-out"}
+	wantNames := []string{"json", "out", "sarif", "timings"}
 	if len(fa) != len(wantNames) {
 		t.Errorf("shared flag set has %d flags, want %d: %v", len(fa), len(wantNames), fa)
 	}
@@ -44,7 +44,7 @@ func TestOutputFlagsCanonical(t *testing.T) {
 // through RegisterOutputFlags and must not (re)define any of the shared
 // names locally.
 func TestAnalysisCommandsUseSharedFlags(t *testing.T) {
-	local := regexp.MustCompile(`flag\.(Bool|String)\("(json|out|sarif|timings|timings-out)"`)
+	local := regexp.MustCompile(`flag\.(Bool|String)\("(json|out|sarif|timings)"`)
 	for _, cmd := range []string{"ruulint", "ruudfa"} {
 		dir := filepath.Join(repoRoot(t), "cmd", cmd)
 		names, err := goFileNames(dir)

@@ -22,8 +22,8 @@ var SimPackages = []string{
 }
 
 // EnginePackages lists the packages holding issue engines (relative to
-// the module path); the probeemit, precisestate and policycontract
-// passes run over these.
+// the module path). The precisestate pass runs over these, and in them
+// simdeterminism reports every map range, whatever its body.
 var EnginePackages = []string{
 	"internal/issue",
 	"internal/machine",
@@ -86,11 +86,10 @@ var DefaultColdTypes = []string{"Trap", "Fault"}
 
 // DefaultColdFuncs are functions the hot-path traversal treats as
 // cold boundaries: wholesale flush/reset runs once per interrupt or
-// misprediction recovery, not once per cycle (the same boundary
-// probeemit draws), and memsys's copyPage, the copy-on-write of a page
-// a memory shares, runs at most once per page per run: the memory owns
-// the page from then on. TestPageCopyAllocs in the root package pins
-// that bound.
+// misprediction recovery, not once per cycle, and memsys's copyPage,
+// the copy-on-write of a page a memory shares, runs at most once per
+// page per run: the memory owns the page from then on.
+// TestPageCopyAllocs in the root package pins that bound.
 var DefaultColdFuncs = []string{"Flush", "Reset", "copyPage"}
 
 // DefaultPaperSpec anchors the paperconst pass to
@@ -151,8 +150,7 @@ func DefaultPasses(modulePath string) []*Pass {
 		allow[modulePath+"/"+rel] = fns
 	}
 	passes := []*Pass{
-		NewSimDeterminism(prefix(SimPackages)...),
-		NewProbeEmit(prefix(EnginePackages)...),
+		NewSimDeterminism(prefix(SimPackages), prefix(EnginePackages)),
 		NewPreciseState(allow, prefix(EnginePackages)...),
 		NewHotPathAlloc(HotPathConfig{
 			Roots:     DefaultHotRoots(modulePath),
@@ -162,7 +160,6 @@ func DefaultPasses(modulePath string) []*Pass {
 		}),
 		NewExhaustive([]string{modulePath}),
 		NewPaperConst(DefaultPaperSpec(modulePath)),
-		NewPolicyContract(prefix(EnginePackages)...),
 	}
 	names := make([]string, 0, len(passes)+1)
 	for _, p := range passes {

@@ -485,6 +485,11 @@ func frontPoppedSlices(pkg *Package) map[types.Object]bool {
 	return out
 }
 
+func isZeroLit(e ast.Expr) bool {
+	bl, ok := e.(*ast.BasicLit)
+	return ok && bl.Kind == token.INT && bl.Value == "0"
+}
+
 // sliceRefObj resolves the variable or struct-field object an
 // expression refers to (x, or recv.x), nil for anything else.
 func sliceRefObj(info *types.Info, e ast.Expr) types.Object {

@@ -17,6 +17,49 @@ var archMutators = map[string]map[string]bool{
 	"Memory":   {"Write": true, "Poke": true},
 }
 
+// engineMethods is the method-set fingerprint identifying an
+// instruction-issue engine (the issue.Engine surface, by name, so the
+// pass also works on fixture packages that do not import the real
+// interface).
+var engineMethods = []string{"BeginCycle", "TryIssue", "Flush", "Retired", "InFlight", "Drained"}
+
+// engineEntryPoints are the per-cycle methods the machine loop calls:
+// the roots a finding's call path is traced from. Reset and Flush are
+// absent: they run once per run or per recovery, not per cycle.
+var engineEntryPoints = map[string]bool{
+	"BeginCycle": true, "Dispatch": true, "TryIssue": true,
+	"TryReadCond": true, "IssueBranch": true,
+}
+
+// engineTypeNames lists the package-level named types whose declared
+// method set covers engineMethods.
+func engineTypeNames(pkg *Package) []string {
+	var out []string
+	scope := pkg.Types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		have := map[string]bool{}
+		for i := 0; i < named.NumMethods(); i++ {
+			have[named.Method(i).Name()] = true
+		}
+		ok = true
+		for _, m := range engineMethods {
+			ok = ok && have[m]
+		}
+		if ok {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // Allowlist maps an import path to the set of function (or method)
 // names within it that are audited architectural-state mutators.
 type Allowlist map[string][]string

@@ -28,3 +28,11 @@ func TestPreciseStateEmptyAllowlist(t *testing.T) {
 		t.Errorf("empty allowlist: got %d findings, want 9: %v", len(findings), findings)
 	}
 }
+
+func TestEngineTypeDetection(t *testing.T) {
+	pkg := loadFixture(t, "precisestate")
+	got := engineTypeNames(pkg)
+	if len(got) != 1 || got[0] != "Engine" {
+		t.Fatalf("engineTypeNames = %v, want [Engine] (Shell lacks Drained)", got)
+	}
+}

@@ -21,7 +21,8 @@ func TestRepoTreeClean(t *testing.T) {
 	}
 
 	// The engine fingerprint must recognise the real engines — if it
-	// stops matching, probeemit silently checks nothing.
+	// stops matching, precisestate findings silently lose their call
+	// path from an engine entry point.
 	engines := map[string][]string{
 		"ruu/internal/issue/simple":  {"Engine"},
 		"ruu/internal/issue/tagunit": {"Engine"},

@@ -7,8 +7,10 @@ import (
 	"go/types"
 )
 
-// NewSimDeterminism returns the simdeterminism pass, restricted to the
-// given import-path prefixes (empty scope = every package).
+// NewSimDeterminism returns the simdeterminism pass over the packages
+// under the scope import-path prefixes (empty scope = every package).
+// In those also under the engines prefixes, the issue engines, every
+// map range is a finding, whatever its body.
 //
 // Simulation results must be bit-for-bit reproducible: the paper's
 // tables are cycle counts, and the repo's golden/property tests compare
@@ -28,7 +30,11 @@ import (
 //     map iteration order is randomized per run. Collect and sort the
 //     keys first, or keep the body order-insensitive (pure counters,
 //     writes into another map, delete).
-func NewSimDeterminism(scope ...string) *Pass {
+//   - in an engine package, any range over a map, whatever its body:
+//     issue order is what the scheduler's result cache and every golden
+//     test rely on, so there the rule is total, not a judgement of the
+//     loop body.
+func NewSimDeterminism(scope, engines []string) *Pass {
 	p := &Pass{
 		Name: "simdeterminism",
 		Doc:  "forbid nondeterminism sources (wall clock, global rand, goroutines, unordered map iteration) in simulation packages",
@@ -37,6 +43,7 @@ func NewSimDeterminism(scope ...string) *Pass {
 		if !inScope(pkg.Path, scope) {
 			return nil
 		}
+		engine := len(engines) > 0 && inScope(pkg.Path, engines)
 		var out []Finding
 		add := func(n ast.Node, format string, args ...any) {
 			out = append(out, Finding{Pass: p.Name, Pos: pkg.Pos(n), Message: fmt.Sprintf(format, args...)})
@@ -53,10 +60,17 @@ func NewSimDeterminism(scope ...string) *Pass {
 						checkCall(add, n, pkgPath, name)
 					}
 				case *ast.RangeStmt:
-					if t := pkg.Info.TypeOf(n.X); t != nil {
-						if _, isMap := t.Underlying().(*types.Map); isMap && !orderInsensitive(pkg.Info, n.Body) {
-							add(n, "iteration over map %s has order-dependent effects; iterate sorted keys instead (or make the body order-insensitive)", exprString(n.X))
-						}
+					t := pkg.Info.TypeOf(n.X)
+					if t == nil {
+						break
+					}
+					if _, isMap := t.Underlying().(*types.Map); !isMap {
+						break
+					}
+					if engine {
+						add(n, "iteration over map %s in an engine package: map order is randomized per run and issue order must not depend on it; iterate a slice or sorted keys", exprString(n.X))
+					} else if !orderInsensitive(pkg.Info, n.Body) {
+						add(n, "iteration over map %s has order-dependent effects; iterate sorted keys instead (or make the body order-insensitive)", exprString(n.X))
 					}
 				}
 				return true

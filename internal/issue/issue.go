@@ -39,11 +39,13 @@ type Context struct {
 	// operation accesses memory and may veto the access with a synthetic
 	// trap (test support for the precise-interrupt experiments).
 	Inject func(pc int, addr int64) *exec.Trap
-	// Probe, when non-nil, receives pipeline lifecycle events from the
-	// machine loop and the engine. The emission helpers below branch on
-	// nil and allocate nothing, so a run without a probe pays only a
-	// predicted-not-taken branch per would-be event.
-	Probe obs.Probe
+	// probe, when non-nil, receives pipeline lifecycle events from the
+	// machine loop and the engine. It is unexported so that every event
+	// goes through the emission helpers below: they branch on nil and
+	// allocate nothing, so a run without a probe pays only a
+	// predicted-not-taken branch per would-be event, and a direct
+	// probe call from an engine does not compile.
+	probe obs.Probe
 	// DecodeID is the dynamic-instruction id of the instruction
 	// currently offered to the engine. The machine assigns ids at fetch
 	// and sets this before TryIssue/IssueBranch; engines record it in
@@ -52,30 +54,37 @@ type Context struct {
 	DecodeID int64
 }
 
+// SetProbe attaches the run's probe (nil for none).
+func (ctx *Context) SetProbe(p obs.Probe) { ctx.probe = p }
+
+// Probed reports whether a probe is attached, so a caller can skip
+// building an event or sample nobody receives.
+func (ctx *Context) Probed() bool { return ctx.probe != nil }
+
 // Observe emits one lifecycle event for the instruction with the given
 // dynamic id. It is the zero-allocation fast path: with no probe
 // attached it is a single nil check.
 func (ctx *Context) Observe(k obs.Kind, cycle, id int64, pc int) {
-	if ctx.Probe == nil {
+	if ctx.probe == nil {
 		return
 	}
-	ctx.Probe.Event(obs.Event{Kind: k, Cycle: cycle, ID: id, PC: pc})
+	ctx.probe.Event(obs.Event{Kind: k, Cycle: cycle, ID: id, PC: pc})
 }
 
 // ObserveStall emits a decode-stage stall event with the given reason.
 func (ctx *Context) ObserveStall(cycle int64, r StallReason, id int64, pc int) {
-	if ctx.Probe == nil {
+	if ctx.probe == nil {
 		return
 	}
-	ctx.Probe.Event(obs.Event{Kind: obs.KindStall, Stall: uint8(r), Cycle: cycle, ID: id, PC: pc})
+	ctx.probe.Event(obs.Event{Kind: obs.KindStall, Stall: uint8(r), Cycle: cycle, ID: id, PC: pc})
 }
 
 // ObserveSample emits the per-cycle occupancy snapshot.
 func (ctx *Context) ObserveSample(s obs.Sample) {
-	if ctx.Probe == nil {
+	if ctx.probe == nil {
 		return
 	}
-	ctx.Probe.Sample(s)
+	ctx.probe.Sample(s)
 }
 
 // StallNames returns the stall-reason names indexed by StallReason code

@@ -280,9 +280,9 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 		LoadRegs:   memsys.NewLoadRegs(m.cfg.LoadRegs),
 		Lat:        m.cfg.Lat,
 		FwdLatency: m.cfg.FwdLatency,
-		Probe:      m.cfg.Probe,
 		DecodeID:   obs.NoID,
 	}
+	ctx.SetProbe(m.cfg.Probe)
 	if fi := m.faultInjector; fi != nil {
 		ctx.Inject = fi
 	}
@@ -604,7 +604,7 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 			pc++
 		}
 
-		if ctx.Probe != nil {
+		if ctx.Probed() {
 			ctx.ObserveSample(obs.Sample{
 				Cycle:    c,
 				InFlight: m.eng.InFlight(),
