@@ -131,6 +131,11 @@ func BenchmarkDFAAnalyze(b *testing.B) { runBench(b, "DFAAnalyze") }
 // memory-dependence tightening on (the default oracle).
 func BenchmarkBoundTightened(b *testing.B) { runBench(b, "BoundTightened") }
 
+// BenchmarkAnalyzeRequest posts a seeded corpus of generated programs
+// through the real POST /v1/analyze handler: decode, assembly, the
+// static analysis, the pre-screen and the replays, per program.
+func BenchmarkAnalyzeRequest(b *testing.B) { runBench(b, "AnalyzeRequest") }
+
 // BenchmarkStoreWrite measures persistent-store Put throughput: the
 // encode, tmp+rename, fsync, and index-append cost per entry.
 func BenchmarkStoreWrite(b *testing.B) { runBench(b, "StoreWrite") }

@@ -97,6 +97,7 @@ func Suite() []Benchmark {
 		{"RuulintCheckOnly", benchRuulintCheckOnly},
 		{"DFAAnalyze", benchDFAAnalyze},
 		{"BoundTightened", benchBoundTightened},
+		{"AnalyzeRequest", benchAnalyzeRequest},
 		{"StoreWrite", benchStoreWrite},
 		{"StoreRead", benchStoreRead},
 		{"BatchThroughput1", func(b B, n int) { benchBatchThroughput(b, n, 1) }},
