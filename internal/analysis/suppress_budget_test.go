@@ -29,12 +29,11 @@ func TestSuppressionBudget(t *testing.T) {
 		}
 	}
 
-	// The full budget: 13 justified suppressions, all in the two
+	// The full budget: 12 justified suppressions, all in the two
 	// goroutine-bearing service packages (whose concurrency is
-	// individually justified against simdeterminism) and at three
+	// individually justified against simdeterminism) and at two
 	// audited cold-path allocation sites.
 	want := map[string]int{
-		"internal/dfa/bound.go hotpathalloc":        1,
 		"internal/sched/cache.go hotpathalloc":      1,
 		"internal/sched/sched.go hotpathalloc":      1,
 		"internal/sched/sched.go simdeterminism":    6,

@@ -28,6 +28,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
 
 	"ruu/internal/exec"
 	"ruu/internal/isa"
@@ -138,12 +139,14 @@ func errf(line int, format string, args ...any) error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
+// stmt is one non-empty source line after the scanner: an optional
+// label, then a mnemonic or directive with its operand text.
 type stmt struct {
-	line   int
-	label  string
-	mnem   string
-	fields []string // comma-separated operand fields, trimmed
-	raw    string
+	line  int
+	label string
+	mnem  string
+	ops   string // the text after the mnemonic's first space, "" if none
+	op    isa.Op // the instruction's opcode (pass 1 fills it in)
 }
 
 // Assemble assembles source text.
@@ -152,9 +155,16 @@ func Assemble(src string) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
+	nDirectives := 0
+	for i := range stmts {
+		if strings.HasPrefix(stmts[i].mnem, ".") {
+			nDirectives++
+		}
+	}
 	u := &Unit{
 		Prog:    &isa.Program{Labels: map[string]int{}},
-		Symbols: map[string]int64{},
+		Symbols: make(map[string]int64, nDirectives), // at most one symbol each
+		Data:    make([]Datum, 0, nDirectives),
 	}
 
 	// Pass 1: lay out instructions and data, collect symbols.
@@ -182,15 +192,20 @@ func Assemble(src string) (*Unit, error) {
 			}
 			continue
 		}
-		if _, ok := opByName[s.mnem]; !ok {
+		op, ok := opByName[s.mnem]
+		if !ok {
 			return nil, errf(s.line, "unknown mnemonic %q", s.mnem)
 		}
+		s.op = op
 		nIns++
 	}
 	u.DataEnd = cursor
 	u.nIns = nIns
 
 	// Pass 2: encode instructions.
+	if nIns > 0 {
+		u.Prog.Instructions = make([]isa.Instruction, 0, nIns)
+	}
 	for i := range stmts {
 		s := &stmts[i]
 		if s.mnem == "" || strings.HasPrefix(s.mnem, ".") {
@@ -236,21 +251,33 @@ func MustAssemble(src string) *Unit {
 	return u
 }
 
+// scan splits the source into statements: it drops comments and blank
+// lines, and cuts each remaining line into label, mnemonic and operand
+// text without copying any of it.
 func scan(src string) ([]stmt, error) {
-	var out []stmt
-	for lineNo, line := range strings.Split(src, "\n") {
-		n := lineNo + 1
-		if i := strings.IndexAny(line, ";#"); i >= 0 {
-			line = line[:i]
+	out := make([]stmt, 0, strings.Count(src, "\n")+1)
+	for n := 1; src != ""; n++ {
+		// One pass finds the end of the line and where a comment starts.
+		end, comment := len(src), -1
+		for i := 0; i < len(src); i++ {
+			if c := src[i]; c == '\n' {
+				end = i
+				break
+			} else if (c == ';' || c == '#') && comment < 0 {
+				comment = i
+			}
 		}
+		line := src[:end]
+		if comment >= 0 {
+			line = line[:comment]
+		}
+		src = src[min(end+1, len(src)):]
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
-		var s stmt
-		s.line = n
-		s.raw = line
-		if i := strings.Index(line, ":"); i >= 0 && !strings.ContainsAny(line[:i], " \t") {
+		s := stmt{line: n}
+		if i := strings.IndexByte(line, ':'); i >= 0 && !strings.ContainsAny(line[:i], " \t") {
 			s.label = line[:i]
 			if !validIdent(s.label) {
 				return nil, errf(n, "invalid label %q", s.label)
@@ -258,17 +285,58 @@ func scan(src string) ([]stmt, error) {
 			line = strings.TrimSpace(line[i+1:])
 		}
 		if line != "" {
-			parts := strings.SplitN(line, " ", 2)
-			s.mnem = strings.ToLower(strings.TrimSpace(parts[0]))
-			if len(parts) > 1 {
-				for _, f := range strings.Split(parts[1], ",") {
-					s.fields = append(s.fields, strings.TrimSpace(f))
-				}
-			}
+			mnem, ops, _ := strings.Cut(line, " ")
+			s.mnem = strings.ToLower(strings.TrimSpace(mnem))
+			s.ops = ops
 		}
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+// operands splits an instruction's operand text at commas, trimming
+// each operand, into out, and returns the operand count. It fills out
+// only when the count is len(out).
+func operands(ops string, out []string) int {
+	if ops == "" {
+		return 0
+	}
+	n := strings.Count(ops, ",") + 1
+	if n != len(out) {
+		return n
+	}
+	for i := range out {
+		f, rest, _ := strings.Cut(ops, ",")
+		out[i] = strings.TrimSpace(f)
+		ops = rest
+	}
+	return n
+}
+
+// directiveFields splits a directive's operand text at commas and white
+// space into out, and returns the field count, capped at len(out).
+func directiveFields(ops string, out []string) int {
+	n := 0
+	start := -1 // start of the current field, -1 between fields
+	for i, r := range ops {
+		sep := r == ',' || unicode.IsSpace(r)
+		switch {
+		case sep && start >= 0:
+			out[n] = ops[start:i]
+			n++
+			start = -1
+			if n == len(out) {
+				return n
+			}
+		case !sep && start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		out[n] = ops[start:]
+		n++
+	}
+	return n
 }
 
 func validIdent(s string) bool {
@@ -290,17 +358,10 @@ func validIdent(s string) bool {
 }
 
 func (u *Unit) directive(s *stmt, cursor int64) (int64, error) {
-	need := func(n int) error {
-		if len(s.fields) == 0 {
-			// Directives separate fields by spaces, not commas; resplit.
-			return errf(s.line, "%s needs %d operand(s)", s.mnem, n)
-		}
-		return nil
-	}
-	// Directive operands are space-separated after the mnemonic; the
-	// scanner split on commas, so re-split the joined remainder.
-	fields := strings.Fields(strings.Join(s.fields, " "))
-	_ = need
+	// Directive operands are separated by white space (commas are
+	// accepted too). No directive takes more than three.
+	var buf [4]string
+	fields := buf[:directiveFields(s.ops, buf[:])]
 	def := func(name string, v int64) error {
 		if !validIdent(name) {
 			return errf(s.line, "invalid symbol %q", name)
@@ -482,22 +543,26 @@ func parseReg(line int, f string, want isa.File) (isa.Reg, error) {
 	return isa.Reg{File: file, Idx: uint8(n)}, nil
 }
 
+// operandCount is the number of operands each format takes.
+var operandCount = [...]int{
+	isa.FmtNone: 0, isa.FmtTrap: 0, isa.FmtR3: 3, isa.FmtR2: 2,
+	isa.FmtR2Imm: 3, isa.FmtRImm: 2, isa.FmtMove: 2, isa.FmtMem: 2,
+	isa.FmtBranch: 1,
+}
+
 func (u *Unit) encode(s *stmt) (isa.Instruction, error) {
-	op := opByName[s.mnem]
-	info := op.Info()
-	ins := isa.Instruction{Op: op, Line: s.line}
-	wantN := map[isa.Format]int{
-		isa.FmtNone: 0, isa.FmtTrap: 0, isa.FmtR3: 3, isa.FmtR2: 2,
-		isa.FmtR2Imm: 3, isa.FmtRImm: 2, isa.FmtMove: 2, isa.FmtMem: 2,
-		isa.FmtBranch: 1,
-	}[info.Fmt]
-	if len(s.fields) != wantN {
-		return ins, errf(s.line, "%s takes %d operand(s), got %d", s.mnem, wantN, len(s.fields))
+	info := s.op.Info()
+	ins := isa.Instruction{Op: s.op, Line: s.line}
+	wantN := operandCount[info.Fmt]
+	var buf [3]string
+	fields := buf[:wantN]
+	if n := operands(s.ops, fields); n != wantN {
+		return ins, errf(s.line, "%s takes %d operand(s), got %d", s.mnem, wantN, n)
 	}
 	switch info.Fmt {
 	case isa.FmtNone, isa.FmtTrap:
 	case isa.FmtR3:
-		for i, fld := range s.fields {
+		for i, fld := range fields {
 			r, err := parseReg(s.line, fld, info.File)
 			if err != nil {
 				return ins, err
@@ -512,62 +577,62 @@ func (u *Unit) encode(s *stmt) (isa.Instruction, error) {
 			}
 		}
 	case isa.FmtR2:
-		r0, err := parseReg(s.line, s.fields[0], info.File)
+		r0, err := parseReg(s.line, fields[0], info.File)
 		if err != nil {
 			return ins, err
 		}
-		r1, err := parseReg(s.line, s.fields[1], info.File)
+		r1, err := parseReg(s.line, fields[1], info.File)
 		if err != nil {
 			return ins, err
 		}
 		ins.I, ins.J = r0.Idx, r1.Idx
 	case isa.FmtR2Imm:
-		r0, err := parseReg(s.line, s.fields[0], info.File)
+		r0, err := parseReg(s.line, fields[0], info.File)
 		if err != nil {
 			return ins, err
 		}
-		r1, err := parseReg(s.line, s.fields[1], info.File)
+		r1, err := parseReg(s.line, fields[1], info.File)
 		if err != nil {
 			return ins, err
 		}
-		imm, err := u.parseImm(s.line, s.fields[2])
+		imm, err := u.parseImm(s.line, fields[2])
 		if err != nil {
 			return ins, err
 		}
 		ins.I, ins.J, ins.Imm = r0.Idx, r1.Idx, imm
 	case isa.FmtRImm:
-		r0, err := parseReg(s.line, s.fields[0], info.File)
+		r0, err := parseReg(s.line, fields[0], info.File)
 		if err != nil {
 			return ins, err
 		}
-		imm, err := u.parseImm(s.line, s.fields[1])
+		imm, err := u.parseImm(s.line, fields[1])
 		if err != nil {
 			return ins, err
 		}
 		ins.I, ins.Imm = r0.Idx, imm
 	case isa.FmtMove:
-		return u.encodeMove(s, ins)
+		return encodeMove(s.line, fields, ins)
 	case isa.FmtMem:
-		r0, err := parseReg(s.line, s.fields[0], info.File)
+		r0, err := parseReg(s.line, fields[0], info.File)
 		if err != nil {
 			return ins, err
 		}
-		disp, base, err := u.parseMemOperand(s.line, s.fields[1])
+		disp, base, err := u.parseMemOperand(s.line, fields[1])
 		if err != nil {
 			return ins, err
 		}
 		ins.I, ins.J, ins.Imm = r0.Idx, base.Idx, disp
 	case isa.FmtBranch:
-		t, ok := u.Prog.Labels[s.fields[0]]
+		t, ok := u.Prog.Labels[fields[0]]
 		if !ok {
-			return ins, errf(s.line, "undefined branch target %q", s.fields[0])
+			return ins, errf(s.line, "undefined branch target %q", fields[0])
 		}
 		if t >= u.nIns {
 			// A label on the final line with no instruction after it
 			// resolves past the end; catch it here so the diagnostic
 			// carries the branch's source line (Program.Validate would
 			// reject it without one).
-			return ins, errf(s.line, "branch target %q points past the last instruction", s.fields[0])
+			return ins, errf(s.line, "branch target %q points past the last instruction", fields[0])
 		}
 		ins.Imm = int64(t)
 	}
@@ -599,22 +664,29 @@ func (u *Unit) parseMemOperand(line int, f string) (int64, isa.Reg, error) {
 	return disp, base, nil
 }
 
-func (u *Unit) encodeMove(s *stmt, ins isa.Instruction) (isa.Instruction, error) {
-	type spec struct{ f0, f1 isa.File }
-	specs := map[isa.Op]spec{
-		isa.MovSA: {isa.FileS, isa.FileA},
-		isa.MovAS: {isa.FileA, isa.FileS},
-		isa.MovAB: {isa.FileA, isa.FileB},
-		isa.MovBA: {isa.FileB, isa.FileA},
-		isa.MovST: {isa.FileS, isa.FileT},
-		isa.MovTS: {isa.FileT, isa.FileS},
+func encodeMove(line int, fields []string, ins isa.Instruction) (isa.Instruction, error) {
+	var f0, f1 isa.File
+	switch ins.Op {
+	case isa.MovSA:
+		f0, f1 = isa.FileS, isa.FileA
+	case isa.MovAS:
+		f0, f1 = isa.FileA, isa.FileS
+	case isa.MovAB:
+		f0, f1 = isa.FileA, isa.FileB
+	case isa.MovBA:
+		f0, f1 = isa.FileB, isa.FileA
+	case isa.MovST:
+		f0, f1 = isa.FileS, isa.FileT
+	case isa.MovTS:
+		f0, f1 = isa.FileT, isa.FileS
+	default:
+		// Unreachable: encodeMove is only dispatched for move mnemonics.
 	}
-	sp := specs[ins.Op]
-	r0, err := parseReg(s.line, s.fields[0], sp.f0)
+	r0, err := parseReg(line, fields[0], f0)
 	if err != nil {
 		return ins, err
 	}
-	r1, err := parseReg(s.line, s.fields[1], sp.f1)
+	r1, err := parseReg(line, fields[1], f1)
 	if err != nil {
 		return ins, err
 	}
@@ -626,7 +698,7 @@ func (u *Unit) encodeMove(s *stmt, ins isa.Instruction) (isa.Instruction, error)
 	case isa.MovBA, isa.MovTS:
 		ins.Imm, ins.I = int64(r0.Idx), r1.Idx
 	default:
-		// Unreachable: parseMove is only dispatched for move mnemonics.
+		// Unreachable: encodeMove is only dispatched for move mnemonics.
 	}
 	return ins, nil
 }

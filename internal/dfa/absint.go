@@ -542,9 +542,6 @@ func EntryTop() AbsRegs {
 type AbsInt struct {
 	// An is the underlying static analysis.
 	An *Analysis
-	// In is the abstract register state on entry to each instruction
-	// (the join over all CFG edges into it). Valid only where Reached.
-	In []AbsRegs
 	// Reached marks instructions the abstract execution can reach. It
 	// can be smaller than An.Reachable when branch refinement proves
 	// edges infeasible, and is never larger.
@@ -556,6 +553,47 @@ type AbsInt struct {
 	// oob-access rule (0 = unknown: only definitely-negative addresses
 	// are out of range).
 	MemWords int
+
+	// The pre-states are stored only for the tracked registers, those
+	// some instruction writes or some branch refines: every other
+	// register holds its entry value at every reached instruction.
+	entry AbsRegs
+	slot  [isa.NumRegs]int16 // position among the tracked registers, -1 if untracked
+	width int                // number of tracked registers
+	in    []AbsVal           // pre-state of instruction i: in[i*width : (i+1)*width]
+}
+
+// In returns the abstract value of register r on entry to instruction i
+// (the join over all CFG edges into it). Valid only where Reached.
+func (ai *AbsInt) In(i int, r isa.Reg) AbsVal {
+	if s := ai.slot[r.Flat()]; s >= 0 {
+		return ai.in[i*ai.width+int(s)]
+	}
+	return ai.entry[r.Flat()]
+}
+
+// track assigns a slot to every register some instruction writes or
+// some conditional branch refines (Interpret refines the tested
+// register when the branch's two edges lead to different
+// instructions).
+func (ai *AbsInt) track(prog []isa.Instruction) {
+	for r := range ai.slot {
+		ai.slot[r] = -1
+	}
+	add := func(r isa.Reg) {
+		if ai.slot[r.Flat()] < 0 {
+			ai.slot[r.Flat()] = int16(ai.width)
+			ai.width++
+		}
+	}
+	for i, ins := range prog {
+		if d, ok := ins.Dst(); ok {
+			add(d)
+		}
+		if c, ok := ins.Op.CondReg(); ok && int(ins.Imm) != i+1 {
+			add(c)
+		}
+	}
 }
 
 // widenAfter is the number of joins into a loop head tolerated before
@@ -574,13 +612,30 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 	n := len(a.Prog.Instructions)
 	ai := &AbsInt{
 		An:       a,
-		In:       make([]AbsRegs, n),
 		Reached:  make([]bool, n),
 		Addr:     make([]AbsVal, n),
 		MemWords: memWords,
+		entry:    entry,
 	}
 	if n == 0 {
 		return ai
+	}
+	ai.track(a.Prog.Instructions)
+	w := ai.width
+	// One block holds every pre-state, then the two scratch states.
+	block := make([]AbsVal, (n+2)*w)
+	ai.in = block[: n*w : n*w]
+	out, edge := block[n*w:(n+1)*w], block[(n+1)*w:]
+	for r, s := range ai.slot {
+		if s >= 0 {
+			ai.in[s] = entry[r]
+		}
+	}
+	val := func(st []AbsVal, r isa.Reg) AbsVal {
+		if s := ai.slot[r.Flat()]; s >= 0 {
+			return st[s]
+		}
+		return entry[r.Flat()]
 	}
 	isHead := make([]bool, n)
 	for _, l := range a.Loops {
@@ -589,49 +644,49 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 	joins := make([]int, n)
 
 	var srcs [2]isa.Reg
-	ai.In[0] = entry
 	ai.Reached[0] = true
-	work := []int{0}
+	work := make([]int, 1, n) // a FIFO: work[head:] is pending
 	inWork := make([]bool, n)
 	inWork[0] = true
 
-	for len(work) > 0 {
-		i := work[0]
-		work = work[1:]
+	for head := 0; head < len(work); head++ {
+		i := work[head]
 		inWork[i] = false
 
 		ins := a.Prog.Instructions[i]
-		out := ai.In[i] // copy (array value)
+		copy(out, ai.in[i*w:(i+1)*w])
 		ss := ins.Srcs(srcs[:0])
 		var s1, s2 AbsVal
 		if len(ss) > 0 {
-			s1 = out[ss[0].Flat()]
+			s1 = val(out, ss[0])
 		}
 		if len(ss) > 1 {
-			s2 = out[ss[1].Flat()]
+			s2 = val(out, ss[1])
 		}
 		if d, ok := ins.Dst(); ok {
 			if ins.Op.Info().Load {
-				out[d.Flat()] = Top // memory contents are not modelled
+				out[ai.slot[d.Flat()]] = Top // memory contents are not modelled
 			} else {
-				out[d.Flat()] = absALU(ins, s1, s2)
+				out[ai.slot[d.Flat()]] = absALU(ins, s1, s2)
 			}
 		}
 
 		condReg, isCond := ins.Op.CondReg()
 		target := int(ins.Imm)
 		for _, s := range a.Succs[i] {
-			edge := out
+			copy(edge, out)
 			if isCond && target != i+1 {
 				// Two distinguishable edges: refine the tested register.
-				refined, feasible := refineCond(ins.Op, out[condReg.Flat()], s == target)
+				c := ai.slot[condReg.Flat()]
+				refined, feasible := refineCond(ins.Op, out[c], s == target)
 				if !feasible {
 					continue
 				}
-				edge[condReg.Flat()] = refined
+				edge[c] = refined
 			}
+			in := ai.in[s*w : (s+1)*w]
 			if !ai.Reached[s] {
-				ai.In[s] = edge
+				copy(in, edge)
 				ai.Reached[s] = true
 				if !inWork[s] {
 					work = append(work, s)
@@ -641,15 +696,15 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 			}
 			changed := false
 			widen := (isHead[s] && joins[s] >= widenAfter) || joins[s] >= safetyWiden
-			for r := 0; r < isa.NumRegs; r++ {
+			for r, v := range edge {
 				var nv AbsVal
 				if widen {
-					nv = ai.In[s][r].Widen(edge[r])
+					nv = in[r].Widen(v)
 				} else {
-					nv = ai.In[s][r].Join(edge[r])
+					nv = in[r].Join(v)
 				}
-				if nv != ai.In[s][r] {
-					ai.In[s][r] = nv
+				if nv != in[r] {
+					in[r] = nv
 					changed = true
 				}
 			}
@@ -668,8 +723,7 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 		if !ai.Reached[i] || !ins.Op.IsMem() {
 			continue
 		}
-		base := ai.In[i][isa.A(int(ins.J)).Flat()]
-		ai.Addr[i] = absAdd(base, Const(ins.Imm))
+		ai.Addr[i] = absAdd(ai.In(i, isa.A(int(ins.J))), Const(ins.Imm))
 	}
 	return ai
 }

@@ -110,22 +110,22 @@ func TestAbsIntConstants(t *testing.T) {
 	a := Analyze(p)
 	ai := a.Interpret(AbsRegs{}, 0)
 
-	if v := ai.In[1][isa.A(1).Flat()]; !mustConst(v, 100) {
+	if v := ai.In(1, isa.A(1)); !mustConst(v, 100) {
 		t.Errorf("A1 before #1 = %v, want 100", v)
 	}
-	if v := ai.In[2][isa.A(2).Flat()]; !mustConst(v, 128) {
+	if v := ai.In(2, isa.A(2)); !mustConst(v, 128) {
 		t.Errorf("A2 before #2 = %v, want 128", v)
 	}
 	// At the loop head A2 has been widened but keeps its stride-8
 	// congruence anchored at 128, and A0 stays within [-inf, 4] at
 	// worst; both concrete sequences must be contained.
-	a2 := ai.In[3][isa.A(2).Flat()]
+	a2 := ai.In(3, isa.A(2))
 	for _, x := range []int64{128, 136, 144, 152} {
 		if !a2.Contains(x) {
 			t.Errorf("loop-head A2 = %v should contain %d", a2, x)
 		}
 	}
-	a0 := ai.In[4][isa.A(0).Flat()]
+	a0 := ai.In(4, isa.A(0))
 	for _, x := range []int64{4, 3, 2, 1} {
 		if !a0.Contains(x) {
 			t.Errorf("loop-body A0 = %v should contain %d", a0, x)
@@ -133,7 +133,7 @@ func TestAbsIntConstants(t *testing.T) {
 	}
 	// Branch refinement: the fallthrough of jnz (A0 == 0) reaches Halt
 	// with A0 pinned to the singleton 0.
-	if v := ai.In[6][isa.A(0).Flat()]; !mustConst(v, 0) {
+	if v := ai.In(6, isa.A(0)); !mustConst(v, 0) {
 		t.Errorf("A0 after loop exit = %v, want 0", v)
 	}
 }
@@ -180,9 +180,9 @@ func checkSoundness(t *testing.T, name string, p *isa.Program, st *exec.State) {
 			}
 			for r := 0; r < isa.NumRegs; r++ {
 				got := st.Reg(isa.FromFlat(r))
-				if !ai.In[pc][r].Contains(got) {
+				if !ai.In(pc, isa.FromFlat(r)).Contains(got) {
 					t.Fatalf("%s: pc %d (%v): %v = %d outside abstract %v",
-						name, pc, p.Instructions[pc], isa.FromFlat(r), got, ai.In[pc][r])
+						name, pc, p.Instructions[pc], isa.FromFlat(r), got, ai.In(pc, isa.FromFlat(r)))
 				}
 			}
 			checked++

@@ -95,134 +95,22 @@ func (b Bound) Speedup(baseCycles int64) float64 {
 
 // ComputeBound replays the program on the functional executor, starting
 // from st (which it mutates), and computes the dataflow limit over the
-// same dynamic instruction stream every engine executes: ready[r] is
-// the completion time of register r's latest writer, each instruction
-// completes at max(ready of its sources) plus its unit latency, and the
-// critical path is the maximum completion over the whole trace.
+// same dynamic instruction stream every engine executes: each register
+// is ready when its latest writer completes, each instruction completes
+// at max(its decode slot, the ready times of its sources) plus its unit
+// latency, and the critical path is the maximum completion over the
+// whole trace. The replay loop is shared with ComputeCensus and Replay
+// (replay.go).
 func ComputeBound(p *isa.Program, st *exec.State, cfg BoundConfig) (Bound, error) {
-	if cfg.Lat == (fu.Latencies{}) {
-		cfg.Lat = fu.DefaultLatencies()
+	r := newReplay(p, st, cfg, !cfg.NoMemDep, cfg.NoMemDep)
+	for r.step() {
 	}
-	if cfg.MaxInstr <= 0 {
-		cfg.MaxInstr = exec.DefaultMaxInstructions
+	b := &r.tight
+	if cfg.NoMemDep {
+		b = &r.regOnly
 	}
-	memLat := cfg.Lat[isa.UnitMem]
-	if cfg.FwdLatency > 0 && cfg.FwdLatency < memLat {
-		memLat = cfg.FwdLatency
+	if r.exhausted {
+		return r.boundResult(b), fmt.Errorf("dfa: bound instruction budget %d exhausted at pc=%d", r.maxInstr, st.PC)
 	}
-
-	var (
-		b     Bound
-		ready [isa.NumRegs]int64
-		srcs  [2]isa.Reg
-		pos   int64 // earliest decode slot of the next instruction
-	)
-	// storeReady[a] tracks address a's memory-dependence state:
-	// untouched (no access yet), touchedByLoad (loads only — later
-	// loads may forward, no start constraint), or >= 0, the time the
-	// latest store to a had both its data and its address. One setup
-	// allocation sized to the memory image; the replay loop itself
-	// stays allocation-free.
-	const (
-		untouched     = int64(-1)
-		touchedByLoad = int64(-2)
-	)
-	var storeReady []int64
-	if !cfg.NoMemDep {
-		storeReady = make([]int64, st.Mem.Size()) //ruulint:ok hotpathalloc one-time setup before the replay loop, sized by the memory image
-		for i := range storeReady {
-			storeReady[i] = untouched
-		}
-	}
-	for !st.Halted {
-		if b.DynInstrs >= cfg.MaxInstr {
-			return b, fmt.Errorf("dfa: bound instruction budget %d exhausted at pc=%d", cfg.MaxInstr, st.PC)
-		}
-		pc := st.PC
-		// The effective address must be sampled before the step: a load
-		// may overwrite its own base register.
-		addr := int64(-1)
-		if storeReady != nil && pc >= 0 && pc < len(p.Instructions) {
-			if pre := p.Instructions[pc]; pre.Op.IsMem() {
-				addr = exec.EffAddr(pre, st.Reg(isa.A(int(pre.J))))
-			}
-		}
-		ins, trap := st.Step(p)
-		if trap != nil {
-			b.Trap = trap
-			break
-		}
-		b.DynInstrs++
-
-		// An instruction cannot leave the single decode stage before its
-		// slot in the in-order stream: one instruction per cycle, plus at
-		// least one dead fetch cycle after every taken branch. (A
-		// conditional branch whose target is its own fall-through cannot
-		// be told apart from an untaken one here; skipping it only
-		// loosens the bound.)
-		start := pos
-		pos++
-		if ins.Op == isa.Jmp || (ins.Op.IsConditional() && st.PC != pc+1) {
-			pos++
-		}
-		for _, r := range ins.Srcs(srcs[:0]) {
-			if t := ready[r.Flat()]; t > start {
-				start = t
-			}
-		}
-		firstTouch := false
-		if addr >= 0 && addr < int64(len(storeReady)) {
-			info := ins.Op.Info()
-			if info.Load {
-				switch t := storeReady[addr]; {
-				case t >= 0:
-					// The load returns the latest store's data: it
-					// cannot start before that value existed.
-					b.MemDepEdges++
-					if t > start {
-						start = t
-					}
-				case t == untouched:
-					// Nothing to forward from: the value comes from
-					// memory at the full latency.
-					firstTouch = true
-					storeReady[addr] = touchedByLoad
-				}
-			} else if info.Store {
-				// The stored value cannot be delivered to any load
-				// before the store knows both its data and its address.
-				t := ready[isa.Reg{File: info.File, Idx: ins.I}.Flat()]
-				if tb := ready[isa.A(int(ins.J)).Flat()]; tb > t {
-					t = tb
-				}
-				storeReady[addr] = t
-			}
-		}
-		unit := ins.Op.Info().Unit
-		var lat int64
-		if unit == isa.UnitMem {
-			// Loads may be satisfied by load-register forwarding, so the
-			// dependence edge is only as heavy as the cheaper path —
-			// except on the address's first touch, where no forwarding
-			// source can exist.
-			lat = int64(memLat)
-			if firstTouch {
-				lat = int64(cfg.Lat[isa.UnitMem])
-			}
-		} else if unit != isa.UnitNone {
-			lat = int64(cfg.Lat[unit])
-		}
-		done := start + lat
-		if done > b.CritPath {
-			b.CritPath = done
-		}
-		if d, ok := ins.Dst(); ok {
-			ready[d.Flat()] = done
-		}
-	}
-	b.Cycles = b.CritPath
-	if pos > b.Cycles {
-		b.Cycles = pos
-	}
-	return b, nil
+	return r.boundResult(b), nil
 }

@@ -38,61 +38,11 @@ type Census struct {
 // from st (which it mutates), and tallies the dynamic hazard census.
 // maxInstr bounds the replay (exec.DefaultMaxInstructions if <= 0).
 func ComputeCensus(p *isa.Program, st *exec.State, maxInstr int64) (Census, error) {
-	if maxInstr <= 0 {
-		maxInstr = exec.DefaultMaxInstructions
+	r := newReplay(p, st, BoundConfig{MaxInstr: maxInstr}, false, false)
+	for r.step() {
 	}
-	var (
-		c         Census
-		written   [isa.NumRegs]bool
-		readSince [isa.NumRegs]bool
-		srcs      [2]isa.Reg
-	)
-	for !st.Halted {
-		if c.DynInstrs >= maxInstr {
-			return c, fmt.Errorf("dfa: census instruction budget %d exhausted at pc=%d", maxInstr, st.PC)
-		}
-		pc := st.PC
-		ins, trap := st.Step(p)
-		if trap != nil {
-			c.Trap = trap
-			return c, nil
-		}
-		c.DynInstrs++
-		if ins.Op.IsBranch() {
-			c.Branches++
-			if st.PC != pc+1 {
-				c.Taken++
-			}
-		}
-
-		// A write hazard pairs this instruction with an *earlier* one, so
-		// the destination's prior state is sampled before this
-		// instruction's own reads are recorded (reading your own
-		// destination operand is not a hazard).
-		dstFlat := -1
-		prevWritten, prevRead := false, false
-		if d, ok := ins.Dst(); ok {
-			dstFlat = d.Flat()
-			prevWritten = written[dstFlat]
-			prevRead = readSince[dstFlat]
-		}
-		for _, r := range ins.Srcs(srcs[:0]) {
-			f := r.Flat()
-			if written[f] {
-				c.RAW++
-			}
-			readSince[f] = true
-		}
-		if dstFlat >= 0 {
-			if prevWritten {
-				c.WAW++
-			}
-			if prevRead {
-				c.WAR++
-			}
-			written[dstFlat] = true
-			readSince[dstFlat] = false
-		}
+	if r.exhausted {
+		return r.censusResult(), fmt.Errorf("dfa: census instruction budget %d exhausted at pc=%d", r.maxInstr, st.PC)
 	}
-	return c, nil
+	return r.censusResult(), nil
 }

@@ -12,25 +12,40 @@ func (a *Analysis) buildCFG() {
 	n := len(a.Prog.Instructions)
 	a.Succs = make([][]int, n)
 	a.Preds = make([][]int, n)
+	// Every instruction has at most two successors; all edges share one
+	// block in each direction.
+	succs := make([]int, 0, 2*n)
+	nPreds := make([]int, n)
 	for i, ins := range a.Prog.Instructions {
-		var ss []int
+		first := len(succs)
 		switch {
 		case ins.Op == isa.Halt:
 			// No successors: execution stops.
 		case ins.Op == isa.Jmp:
-			ss = append(ss, int(ins.Imm))
+			succs = append(succs, int(ins.Imm))
 		case ins.Op.IsBranch():
 			t := int(ins.Imm)
-			ss = append(ss, t)
+			succs = append(succs, t)
 			if i+1 < n && t != i+1 {
-				ss = append(ss, i+1)
+				succs = append(succs, i+1)
 			}
 		default:
 			if i+1 < n {
-				ss = append(ss, i+1)
+				succs = append(succs, i+1)
 			}
 		}
-		a.Succs[i] = ss
+		if len(succs) > first {
+			a.Succs[i] = succs[first:len(succs):len(succs)]
+		}
+		for _, s := range succs[first:] {
+			nPreds[s]++
+		}
+	}
+	preds := make([]int, len(succs))
+	for s, k := range nPreds {
+		if k > 0 {
+			a.Preds[s], preds = preds[:0:k], preds[k:]
+		}
 	}
 	for i, ss := range a.Succs {
 		for _, s := range ss {

@@ -53,10 +53,11 @@ type Analysis struct {
 	// entry (uninitialized) definition reaches the read.
 	uninitReads map[int][]isa.Reg
 
-	in      []bitset // reaching definitions at each instruction
-	exitOut bitset   // definitions reaching any program exit
-	defMask []bitset // per flat register: all of its definition IDs
-	defReg  []int    // per instruction: flat dst register, or -1
+	in      []bitset           // reaching definitions at each instruction
+	exitOut bitset             // definitions reaching any program exit
+	regSlot [isa.NumRegs]int16 // per flat register: its defMask index, -1 if the program never names it
+	defMask []bitset           // per named register: all of its definition IDs
+	defReg  []int              // per instruction: flat dst register, or -1
 }
 
 // Loop is a natural loop formed by a backward branch: the body spans

@@ -75,7 +75,7 @@ type MemDeps struct {
 // index, or a synthetic entry def >= len(prog)) of flat register r
 // reaching instruction i, and ok=false when several definitions reach.
 func (a *Analysis) uniqueReachingDef(i, r int) (int, bool) {
-	mask := a.defMask[r]
+	mask := a.mask(r)
 	found := -1
 	for w := range mask {
 		word := a.in[i][w] & mask[w]

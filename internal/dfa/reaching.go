@@ -9,16 +9,15 @@ import (
 // The reaching-definitions analysis works at instruction granularity
 // over a definition ID space with two halves: IDs [0, n) are the real
 // definitions (instruction i defining its Dst register has ID i), and
-// IDs [n, n+isa.NumRegs) are synthetic entry definitions, one per
-// architectural register, modelling the register's value at program
-// entry. An entry definition reaching a read means the read can observe
-// a value no instruction of the program wrote — the uninitialized-read
-// lint condition.
+// IDs [n, n+k) are synthetic entry definitions, one for each of the k
+// registers the program reads or writes, modelling the register's value
+// at program entry. An entry definition reaching a read means the read
+// can observe a value no instruction of the program wrote — the
+// uninitialized-read lint condition. A register the program never
+// names needs no entry definition: nothing reads it or kills it.
 
 // bitset is a fixed-capacity bit vector over definition IDs.
 type bitset []uint64
-
-func newBitset(nbits int) bitset { return make(bitset, (nbits+63)/64) }
 
 func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
@@ -68,35 +67,64 @@ func (b bitset) clear() {
 //	OUT[i] = (IN[i] \ kill[i]) ∪ gen[i]
 func (a *Analysis) reachingDefs() {
 	n := len(a.Prog.Instructions)
-	nd := n + isa.NumRegs
-
-	// defMask[r] = every definition ID (real or entry) of flat register r.
-	a.defMask = make([]bitset, isa.NumRegs)
-	for r := range a.defMask {
-		a.defMask[r] = newBitset(nd)
-		a.defMask[r].set(n + r)
-	}
 	a.defReg = make([]int, n)
+	for r := range a.regSlot {
+		a.regSlot[r] = -1
+	}
+	k := 0
+	name := func(r isa.Reg) {
+		if a.regSlot[r.Flat()] < 0 {
+			a.regSlot[r.Flat()] = int16(k)
+			k++
+		}
+	}
+	var srcs [2]isa.Reg
 	for i, ins := range a.Prog.Instructions {
 		a.defReg[i] = -1
 		if d, ok := ins.Dst(); ok {
 			a.defReg[i] = d.Flat()
-			a.defMask[d.Flat()].set(i)
+			name(d)
+		}
+		for _, r := range ins.Srcs(srcs[:0]) {
+			name(r)
+		}
+	}
+	nd := n + k
+
+	// Every bitset is cut from one block: IN and OUT per instruction,
+	// defMask per named register, then entry, scratch and exitOut.
+	words := (nd + 63) / 64
+	block := make([]uint64, words*(2*n+k+3))
+	next := func() bitset {
+		b := bitset(block[:words:words])
+		block = block[words:]
+		return b
+	}
+	// defMask[s] = every definition ID (real or entry) of the register
+	// in slot s.
+	a.defMask = make([]bitset, k)
+	for s := range a.defMask {
+		a.defMask[s] = next()
+		a.defMask[s].set(n + s)
+	}
+	for i, r := range a.defReg {
+		if r >= 0 {
+			a.mask(r).set(i)
 		}
 	}
 
 	a.in = make([]bitset, n)
 	out := make([]bitset, n)
 	for i := 0; i < n; i++ {
-		a.in[i] = newBitset(nd)
-		out[i] = newBitset(nd)
+		a.in[i] = next()
+		out[i] = next()
 	}
-	entry := newBitset(nd)
-	for r := 0; r < isa.NumRegs; r++ {
-		entry.set(n + r)
+	entry := next()
+	for s := 0; s < k; s++ {
+		entry.set(n + s)
 	}
 
-	scratch := newBitset(nd)
+	scratch := next()
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < n; i++ {
@@ -112,7 +140,7 @@ func (a *Analysis) reachingDefs() {
 			}
 			a.in[i].copyFrom(scratch)
 			if r := a.defReg[i]; r >= 0 {
-				scratch.andNot(a.defMask[r])
+				scratch.andNot(a.mask(r))
 				scratch.set(i)
 			}
 			if !scratch.equal(out[i]) {
@@ -125,13 +153,17 @@ func (a *Analysis) reachingDefs() {
 	// exitOut is the union of OUT over every exit (an instruction with
 	// no successors: HALT, or falling off the program end). A definition
 	// in exitOut is observable in the final architectural state.
-	a.exitOut = newBitset(nd)
+	a.exitOut = next()
 	for i := 0; i < n; i++ {
 		if a.Reachable[i] && len(a.Succs[i]) == 0 {
 			a.exitOut.or(out[i])
 		}
 	}
 }
+
+// mask returns every definition ID of flat register r, which the
+// program must read or write.
+func (a *Analysis) mask(r int) bitset { return a.defMask[a.regSlot[r]] }
 
 // buildChains derives the def-use chains: for every reachable read of a
 // register, the reaching real definitions gain the reader in UsesOf,
@@ -150,7 +182,7 @@ func (a *Analysis) buildChains() {
 		}
 		for _, r := range ins.Srcs(srcs[:0]) {
 			f := r.Flat()
-			mask := a.defMask[f]
+			mask := a.mask(f)
 			for w := range mask {
 				word := a.in[i][w] & mask[w]
 				for word != 0 {

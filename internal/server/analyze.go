@@ -87,7 +87,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var (
 		name string
 		unit *asm.Unit
-		st   *exec.State
 		err  error
 	)
 	newState := func() (*exec.State, error) { return exec.NewState(unit.NewMemory()), nil }
@@ -120,7 +119,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if st, err = newState(); err != nil {
+	st, err := newState()
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
@@ -151,60 +151,21 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Findings: findings,
 	}
 
+	// The interpretation only read st, so the replay can start from it.
 	mc := machine.DefaultConfig()
-	bcfg := dfa.BoundConfig{Lat: mc.Lat, FwdLatency: mc.FwdLatency}
-	replay := func(run func(*exec.State) error) bool {
-		st, err := newState()
-		if err == nil {
-			err = run(st)
-		}
-		if err != nil {
-			s.analyzeRejects.Add(1)
-			writeJSON(w, http.StatusUnprocessableEntity, analyzeReject{
-				Error:    err.Error(),
-				Findings: findings,
-			})
-			return false
-		}
-		return true
+	dyn, err := dfa.Replay(unit.Prog, st, dfa.BoundConfig{Lat: mc.Lat, FwdLatency: mc.FwdLatency})
+	if err == nil && dyn.Census.Trap != nil {
+		err = dyn.Census.Trap
 	}
-	ok := replay(func(st *exec.State) error {
-		c, err := dfa.ComputeCensus(unit.Prog, st, 0)
-		if err != nil {
-			return err
-		}
-		if c.Trap != nil {
-			return c.Trap
-		}
-		resp.Census = c
-		return nil
-	})
-	if !ok {
+	if err != nil {
+		s.analyzeRejects.Add(1)
+		writeJSON(w, http.StatusUnprocessableEntity, analyzeReject{
+			Error:    err.Error(),
+			Findings: findings,
+		})
 		return
 	}
-	for _, b := range []struct {
-		out *dfa.Bound
-		cfg dfa.BoundConfig
-	}{
-		{&resp.Bound, bcfg},
-		{&resp.BoundRegOnly, dfa.BoundConfig{Lat: bcfg.Lat, FwdLatency: bcfg.FwdLatency, NoMemDep: true}},
-	} {
-		cfg := b.cfg
-		out := b.out
-		if !replay(func(st *exec.State) error {
-			bd, err := dfa.ComputeBound(unit.Prog, st, cfg)
-			if err != nil {
-				return err
-			}
-			if bd.Trap != nil {
-				return bd.Trap
-			}
-			*out = bd
-			return nil
-		}) {
-			return
-		}
-	}
+	resp.Census, resp.Bound, resp.BoundRegOnly = dyn.Census, dyn.Bound, dyn.BoundRegOnly
 	writeJSON(w, http.StatusOK, resp)
 }
 
