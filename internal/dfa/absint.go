@@ -606,8 +606,9 @@ const widenAfter = 2
 const safetyWiden = 64
 
 // Interpret runs the abstract interpretation from the given entry
-// state. memWords is the memory-image size in words for the oob rule
-// (0 = unknown).
+// state, whose values must be canonical (as Const, Range, Top and the
+// zero value are). memWords is the memory-image size in words for the
+// oob rule (0 = unknown).
 func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 	n := len(a.Prog.Instructions)
 	ai := &AbsInt{
@@ -697,6 +698,9 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 			changed := false
 			widen := (isHead[s] && joins[s] >= widenAfter) || joins[s] >= safetyWiden
 			for r, v := range edge {
+				if v == in[r] {
+					continue // a canonical value joins or widens with itself to itself
+				}
 				var nv AbsVal
 				if widen {
 					nv = in[r].Widen(v)

@@ -77,7 +77,6 @@ func (l Loop) Contains(i int) bool { return l.Head <= i && i <= l.Back }
 func Analyze(p *isa.Program) *Analysis {
 	a := &Analysis{
 		Prog:        p,
-		UsesOf:      map[int][]int{},
 		uninitReads: map[int][]isa.Reg{},
 	}
 	a.buildCFG()

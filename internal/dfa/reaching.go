@@ -170,6 +170,13 @@ func (a *Analysis) mask(r int) bitset { return a.defMask[a.regSlot[r]] }
 // and a reaching entry definition records an uninitialized read.
 func (a *Analysis) buildChains() {
 	n := len(a.Prog.Instructions)
+	defs := 0
+	for i, r := range a.defReg {
+		if r >= 0 && a.Reachable[i] {
+			defs++
+		}
+	}
+	a.UsesOf = make(map[int][]int, defs)
 	var srcs [2]isa.Reg
 	for i, ins := range a.Prog.Instructions {
 		if !a.Reachable[i] {

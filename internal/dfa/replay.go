@@ -41,6 +41,7 @@ func Replay(p *isa.Program, st *exec.State, cfg BoundConfig) (Dynamic, error) {
 type replay struct {
 	p         *isa.Program
 	st        *exec.State
+	dec       []decoded // per static instruction
 	maxInstr  int64
 	lat       fu.Latencies
 	fwdLat    int64 // load latency when forwarding may apply
@@ -57,6 +58,40 @@ type replay struct {
 	readSince [isa.NumRegs]bool
 
 	tight, regOnly boundTrack
+}
+
+// decoded is what the replay needs of one static instruction, worked
+// out once per program. Registers are flat indices.
+type decoded struct {
+	srcs   [2]int16
+	nSrcs  uint8
+	dst    int16 // -1 if none
+	data   int16 // a store's data register
+	unit   isa.Unit
+	load   bool
+	store  bool
+	branch bool
+	// bubble: a taken jump or conditional branch costs a dead fetch
+	// cycle.
+	bubble bool
+}
+
+func decode(ins isa.Instruction) decoded {
+	var buf [2]isa.Reg
+	info := ins.Op.Info()
+	d := decoded{dst: -1, unit: info.Unit, load: info.Load, store: info.Store, branch: ins.Op.IsBranch(),
+		bubble: ins.Op == isa.Jmp || ins.Op.IsConditional()}
+	for _, r := range ins.Srcs(buf[:0]) {
+		d.srcs[d.nSrcs] = int16(r.Flat())
+		d.nSrcs++
+	}
+	if r, ok := ins.Dst(); ok {
+		d.dst = int16(r.Flat())
+	}
+	if info.Store {
+		d.data = int16(isa.Reg{File: info.File, Idx: ins.I}.Flat())
+	}
+	return d
 }
 
 // boundTrack accumulates one dataflow limit.
@@ -82,6 +117,10 @@ func newReplay(p *isa.Program, st *exec.State, cfg BoundConfig, tight, regOnly b
 		fwd = cfg.FwdLatency
 	}
 	r := replay{p: p, st: st, maxInstr: cfg.MaxInstr, lat: cfg.Lat, fwdLat: int64(fwd)}
+	r.dec = make([]decoded, len(p.Instructions))
+	for i, ins := range p.Instructions {
+		r.dec[i] = decode(ins)
+	}
 	r.tight.on, r.regOnly.on = tight, regOnly
 	if tight {
 		r.tight.stores = &storeTable{index: map[int64]int32{}, lastKey: -1}
@@ -109,20 +148,14 @@ func (r *replay) step() bool {
 			addr = exec.EffAddr(pre, st.Reg(isa.A(int(pre.J))))
 		}
 	}
-	ins, trap := st.Step(r.p)
-	if trap != nil {
+	if _, trap := st.Step(r.p); trap != nil {
 		r.trap = trap
 		return false
 	}
 	r.dyn++
-	var buf [2]isa.Reg
-	srcs := ins.Srcs(buf[:0])
-	dst := -1
-	if d, ok := ins.Dst(); ok {
-		dst = d.Flat()
-	}
+	d := &r.dec[pc] // the step succeeded, so pc was in range
 	taken := st.PC != pc+1
-	r.count(ins, srcs, dst, taken)
+	r.count(d, taken)
 
 	// An instruction cannot leave the single decode stage before its
 	// slot in the in-order stream: one instruction per cycle, plus at
@@ -132,23 +165,22 @@ func (r *replay) step() bool {
 	// bound.)
 	slot := r.slot
 	r.slot++
-	if ins.Op == isa.Jmp || (ins.Op.IsConditional() && taken) {
+	if d.bubble && taken {
 		r.slot++
 	}
 	if r.tight.on {
-		r.tight.issue(ins, srcs, dst, slot, addr, r.fwdLat, r.lat)
+		r.tight.issue(d, slot, addr, r.fwdLat, &r.lat)
 	}
 	if r.regOnly.on {
-		r.regOnly.issue(ins, srcs, dst, slot, -1, r.fwdLat, r.lat)
+		r.regOnly.issue(d, slot, -1, r.fwdLat, &r.lat)
 	}
 	return true
 }
 
-// count tallies one executed instruction, whose destination is flat
-// register dst (-1 if none), into the hazard census.
-func (r *replay) count(ins isa.Instruction, srcs []isa.Reg, dst int, taken bool) {
+// count tallies one executed instruction into the hazard census.
+func (r *replay) count(d *decoded, taken bool) {
 	c := &r.c
-	if ins.Op.IsBranch() {
+	if d.branch {
 		c.Branches++
 		if taken {
 			c.Taken++
@@ -159,25 +191,24 @@ func (r *replay) count(ins isa.Instruction, srcs []isa.Reg, dst int, taken bool)
 	// own reads are recorded (reading your own destination operand is
 	// not a hazard).
 	prevWritten, prevRead := false, false
-	if dst >= 0 {
-		prevWritten, prevRead = r.written[dst], r.readSince[dst]
+	if d.dst >= 0 {
+		prevWritten, prevRead = r.written[d.dst], r.readSince[d.dst]
 	}
-	for _, s := range srcs {
-		f := s.Flat()
+	for _, f := range d.srcs[:d.nSrcs] {
 		if r.written[f] {
 			c.RAW++
 		}
 		r.readSince[f] = true
 	}
-	if dst >= 0 {
+	if d.dst >= 0 {
 		if prevWritten {
 			c.WAW++
 		}
 		if prevRead {
 			c.WAR++
 		}
-		r.written[dst] = true
-		r.readSince[dst] = false
+		r.written[d.dst] = true
+		r.readSince[d.dst] = false
 	}
 }
 
@@ -187,17 +218,16 @@ func (r *replay) count(ins isa.Instruction, srcs []isa.Reg, dst int, taken bool)
 // completes its unit latency later. addr is the effective address of a
 // memory instruction when the memory-dependence tightening is on, -1
 // otherwise.
-func (b *boundTrack) issue(ins isa.Instruction, srcs []isa.Reg, dst int, start, addr, fwdLat int64, lat fu.Latencies) {
-	for _, s := range srcs {
-		if t := b.ready[s.Flat()]; t > start {
+func (b *boundTrack) issue(d *decoded, start, addr, fwdLat int64, lat *fu.Latencies) {
+	for _, f := range d.srcs[:d.nSrcs] {
+		if t := b.ready[f]; t > start {
 			start = t
 		}
 	}
-	info := ins.Op.Info()
 	firstTouch := false
 	if addr >= 0 {
 		e := b.stores.entry(addr)
-		if info.Load {
+		if d.load {
 			switch t := *e; {
 			case t >= stored:
 				// The load returns the latest store's data: it cannot
@@ -212,18 +242,15 @@ func (b *boundTrack) issue(ins isa.Instruction, srcs []isa.Reg, dst int, start, 
 				firstTouch = true
 				*e = touchedByLoad
 			}
-		} else if info.Store {
+		} else if d.store {
 			// The stored value cannot be delivered to any load before
-			// the store knows both its data and its address.
-			t := b.ready[isa.Reg{File: info.File, Idx: ins.I}.Flat()]
-			if tb := b.ready[isa.A(int(ins.J)).Flat()]; tb > t {
-				t = tb
-			}
-			*e = stored + t
+			// the store knows both its data and its address (the base
+			// register is its first source).
+			*e = stored + max(b.ready[d.data], b.ready[d.srcs[0]])
 		}
 	}
 	var l int64
-	switch info.Unit {
+	switch d.unit {
 	case isa.UnitMem:
 		// Loads may be satisfied by load-register forwarding, so the
 		// dependence edge is only as heavy as the cheaper path, except
@@ -235,14 +262,14 @@ func (b *boundTrack) issue(ins isa.Instruction, srcs []isa.Reg, dst int, start, 
 		}
 	case isa.UnitNone:
 	default:
-		l = int64(lat[info.Unit])
+		l = int64(lat[d.unit])
 	}
 	done := start + l
 	if done > b.crit {
 		b.crit = done
 	}
-	if dst >= 0 {
-		b.ready[dst] = done
+	if d.dst >= 0 {
+		b.ready[d.dst] = done
 	}
 }
 
