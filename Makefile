@@ -22,9 +22,10 @@ race:
 # (FuzzAssemble), the parcel decoder (FuzzDecode), the copy-on-write
 # memory image against a flat model (FuzzMemory), the store's entry
 # framing (FuzzDecodeEntry), its persisted-value codec
-# (FuzzDecodeCached), and the HTTP request decoders with their
-# validation (FuzzSimulateRequest, FuzzBatchRequest; no simulation
-# runs). Plain `go test` runs only their committed seeds;
+# (FuzzDecodeCached), the HTTP request decoders with their validation
+# (FuzzSimulateRequest, FuzzBatchRequest; no simulation runs), and the
+# whole /v1/analyze handler (FuzzAnalyzeRequest: static analysis and
+# replay). Plain `go test` runs only their committed seeds;
 # a crasher found here is written under the package's testdata/fuzz and
 # fails every later `go test`.
 fuzz-smoke:
@@ -35,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCached$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulateRequest$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzeRequest$$' -fuzztime 10s ./internal/server
 
 vet:
 	$(GO) vet ./...

@@ -2,12 +2,18 @@ package ruu_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"ruu"
+	"ruu/internal/asm"
+	"ruu/internal/bench"
+	"ruu/internal/dfa"
+	"ruu/internal/exec"
 	"ruu/internal/livermore"
+	"ruu/internal/machine"
 	"ruu/internal/memsys"
 )
 
@@ -230,5 +236,53 @@ func TestVerifiedRunProgramAllocs(t *testing.T) {
 		t.Errorf("verified RunProgram allocates %.0f KB per run, want under %d KB", kb, limitKB)
 	} else {
 		t.Logf("verified RunProgram allocates %.0f KB per run", kb)
+	}
+}
+
+// TestAnalyzeAllocsFollowProgram bounds what the static pre-screen
+// allocates for a short generated program, the kind synth-cold sends
+// to /v1/analyze: assembly, dfa.Analyze, the state and InterpretState,
+// Lint, MemDeps, and the one replay that yields the census and both
+// dataflow bounds. The total must stay within a small multiple of the
+// source's length. Storage sized by the machine rather than the program
+// breaks it at once: a 144-register pre-state per instruction costs
+// about 100 bytes per byte of source, and a dependence table over the
+// whole memory image 256 KiB.
+func TestAnalyzeAllocsFollowProgram(t *testing.T) {
+	const perSourceByte, runs = 64, 5
+	mc := machine.DefaultConfig()
+	bcfg := dfa.BoundConfig{Lat: mc.Lat, FwdLatency: mc.FwdLatency}
+	for i, body := range bench.AnalyzeCorpus(7, 12) {
+		var req struct{ Asm string }
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		analyze := func() {
+			u, err := asm.Assemble(req.Asm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := exec.NewState(u.NewMemory())
+			ai := dfa.Analyze(u.Prog).InterpretState(st)
+			ai.Lint()
+			ai.MemDeps()
+			if _, err := dfa.Replay(u.Prog, st, bcfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		analyze()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < runs; r++ {
+			analyze()
+		}
+		runtime.ReadMemStats(&after)
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		if limit := float64(perSourceByte * len(req.Asm)); perRun > limit {
+			t.Errorf("program %d (%d source bytes): analysis allocates %.0f B, want at most %.0f", i, len(req.Asm), perRun, limit)
+		} else {
+			t.Logf("program %d (%d source bytes): %.0f B, %.1f per source byte", i, len(req.Asm), perRun, perRun/float64(len(req.Asm)))
+		}
 	}
 }

@@ -17,8 +17,9 @@
 // run mode reports regressions without failing (single-run noise);
 // -compare exits non-zero so CI can gate on a deliberate comparison.
 // Both diffs also print the median new/old ns/op ratio over the
-// benchmarks the two files share, to tell host drift from a real
-// regression; it does not affect the exit status.
+// benchmarks the two files share, and each benchmark's change relative
+// to it, to tell host drift from a real regression; neither affects the
+// exit status.
 package main
 
 import (
@@ -339,15 +340,24 @@ func sameFile(a, b string) bool {
 // report prints the per-benchmark delta, marking benchmarks only the
 // new file has as (new) and those only the old file has as (removed),
 // and returns the number of regressions (ns/op growth beyond
-// threshold).
+// threshold). Next to each shared benchmark's raw change it prints the
+// change relative to the median ratio, which takes out drift that
+// moved every benchmark alike; only the raw change is held to the
+// threshold.
 func report(w io.Writer, old, cur *File, threshold float64) int {
 	prev := map[string]Result{}
 	for _, r := range old.Benchmarks {
 		prev[r.Name] = r
 	}
+	var ratios []float64
+	for _, r := range cur.Benchmarks {
+		if p, ok := prev[r.Name]; ok {
+			ratios = append(ratios, r.NsPerOp/p.NsPerOp)
+		}
+	}
+	median := medianOf(ratios)
 	regressions := 0
 	kept := map[string]bool{}
-	var ratios []float64
 	for _, r := range cur.Benchmarks {
 		kept[r.Name] = true
 		p, ok := prev[r.Name]
@@ -356,14 +366,13 @@ func report(w io.Writer, old, cur *File, threshold float64) int {
 			continue
 		}
 		ratio := r.NsPerOp / p.NsPerOp
-		ratios = append(ratios, ratio)
 		verdict := ""
 		if ratio > threshold {
 			verdict = "  REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(w, "%-28s %12.0f -> %12.0f ns/op  (%+.1f%%)%s\n",
-			r.Name, p.NsPerOp, r.NsPerOp, (ratio-1)*100, verdict)
+		fmt.Fprintf(w, "%-28s %12.0f -> %12.0f ns/op  (%+.1f%%, %+.1f%% vs median)%s\n",
+			r.Name, p.NsPerOp, r.NsPerOp, (ratio-1)*100, (ratio/median-1)*100, verdict)
 	}
 	for _, r := range old.Benchmarks {
 		if !kept[r.Name] {
@@ -371,7 +380,7 @@ func report(w io.Writer, old, cur *File, threshold float64) int {
 		}
 	}
 	if len(ratios) > 0 {
-		printDrift(w, ratios)
+		printDrift(w, ratios, median)
 	}
 	if regressions > 0 {
 		fmt.Fprintf(w, "%d regression(s) beyond %.0f%% threshold\n", regressions, (threshold-1)*100)
@@ -379,11 +388,26 @@ func report(w io.Writer, old, cur *File, threshold float64) int {
 	return regressions
 }
 
+// medianOf returns the median of xs (1 when xs is empty), leaving xs
+// in its order.
+func medianOf(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 1
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if n%2 == 0 {
+		return (s[n/2-1] + s[n/2]) / 2
+	}
+	return s[n/2]
+}
+
 // printDrift prints the median new/old ns/op ratio over the benchmarks
 // both files hold, and how many got slower or faster. A median far from
 // 1 with most benchmarks moving the same way is host drift; one
 // regression against a median near 1 is not.
-func printDrift(w io.Writer, ratios []float64) {
+func printDrift(w io.Writer, ratios []float64, median float64) {
 	slower, faster := 0, 0
 	for _, r := range ratios {
 		if r > 1 {
@@ -392,12 +416,6 @@ func printDrift(w io.Writer, ratios []float64) {
 			faster++
 		}
 	}
-	sort.Float64s(ratios)
-	n := len(ratios)
-	median := ratios[n/2]
-	if n%2 == 0 {
-		median = (ratios[n/2-1] + ratios[n/2]) / 2
-	}
 	fmt.Fprintf(w, "median ratio %.3f (%+.1f%%) over %d shared benchmark(s): %d slower, %d faster\n",
-		median, (median-1)*100, n, slower, faster)
+		median, (median-1)*100, len(ratios), slower, faster)
 }

@@ -53,3 +53,30 @@ func TestReportMarksNewAndRemoved(t *testing.T) {
 		t.Errorf("drift line = %q, want %q", lines[6], want)
 	}
 }
+
+// TestReportDriftColumn: each shared benchmark's line carries its
+// change relative to the median ratio beside the raw change, so a
+// benchmark that only moved with the host reads near 0% there, while
+// the REGRESSION verdict still follows the raw change alone.
+func TestReportDriftColumn(t *testing.T) {
+	old := &File{Benchmarks: []Result{
+		{Name: "A", NsPerOp: 100},
+		{Name: "B", NsPerOp: 100},
+		{Name: "C", NsPerOp: 100},
+	}}
+	cur := &File{Benchmarks: []Result{
+		{Name: "A", NsPerOp: 140},
+		{Name: "B", NsPerOp: 140},
+		{Name: "C", NsPerOp: 280},
+	}}
+	var out strings.Builder
+	if n := report(&out, old, cur, 1.30); n != 3 {
+		t.Errorf("report counted %d regression(s), want 3 (the threshold applies to the raw ratio)", n)
+	}
+	lines := strings.Split(out.String(), "\n")
+	for i, want := range []string{"(+40.0%, +0.0% vs median)  REGRESSION", "(+40.0%, +0.0% vs median)  REGRESSION", "(+180.0%, +100.0% vs median)  REGRESSION"} {
+		if !strings.HasSuffix(lines[i], want) {
+			t.Errorf("line %d = %q, want it to end with %q", i, lines[i], want)
+		}
+	}
+}

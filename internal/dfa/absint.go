@@ -623,10 +623,10 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 	}
 	ai.track(a.Prog.Instructions)
 	w := ai.width
-	// One block holds every pre-state, then the two scratch states.
-	block := make([]AbsVal, (n+2)*w)
+	// One block holds every pre-state, then a scratch state.
+	block := make([]AbsVal, (n+1)*w)
 	ai.in = block[: n*w : n*w]
-	out, edge := block[n*w:(n+1)*w], block[(n+1)*w:]
+	out := block[n*w:]
 	for r, s := range ai.slot {
 		if s >= 0 {
 			ai.in[s] = entry[r]
@@ -672,22 +672,28 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 			}
 		}
 
-		condReg, isCond := ins.Op.CondReg()
-		target := int(ins.Imm)
+		// Two distinguishable edges refine the tested register, slot c:
+		// each edge carries out with out[c] replaced by its refinement of
+		// the tested value.
+		c := int16(-1)
+		if condReg, ok := ins.Op.CondReg(); ok && int(ins.Imm) != i+1 {
+			c = ai.slot[condReg.Flat()]
+		}
+		var tested AbsVal
+		if c >= 0 {
+			tested = out[c]
+		}
 		for _, s := range a.Succs[i] {
-			copy(edge, out)
-			if isCond && target != i+1 {
-				// Two distinguishable edges: refine the tested register.
-				c := ai.slot[condReg.Flat()]
-				refined, feasible := refineCond(ins.Op, out[c], s == target)
+			if c >= 0 {
+				refined, feasible := refineCond(ins.Op, tested, s == int(ins.Imm))
 				if !feasible {
 					continue
 				}
-				edge[c] = refined
+				out[c] = refined
 			}
 			in := ai.in[s*w : (s+1)*w]
 			if !ai.Reached[s] {
-				copy(in, edge)
+				copy(in, out)
 				ai.Reached[s] = true
 				if !inWork[s] {
 					work = append(work, s)
@@ -697,7 +703,7 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 			}
 			changed := false
 			widen := (isHead[s] && joins[s] >= widenAfter) || joins[s] >= safetyWiden
-			for r, v := range edge {
+			for r, v := range out {
 				if v == in[r] {
 					continue // a canonical value joins or widens with itself to itself
 				}
