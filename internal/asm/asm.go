@@ -29,6 +29,7 @@ import (
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 
 	"ruu/internal/exec"
 	"ruu/internal/isa"
@@ -318,7 +319,11 @@ func operands(ops string, out []string) int {
 func directiveFields(ops string, out []string) int {
 	n := 0
 	start := -1 // start of the current field, -1 between fields
-	for i, r := range ops {
+	for i := 0; i < len(ops); {
+		r, size := rune(ops[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(ops[i:])
+		}
 		sep := r == ',' || unicode.IsSpace(r)
 		switch {
 		case sep && start >= 0:
@@ -331,6 +336,7 @@ func directiveFields(ops string, out []string) int {
 		case !sep && start < 0:
 			start = i
 		}
+		i += size
 	}
 	if start >= 0 {
 		out[n] = ops[start:]

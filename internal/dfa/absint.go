@@ -575,25 +575,30 @@ func (ai *AbsInt) In(i int, r isa.Reg) AbsVal {
 // track assigns a slot to every register some instruction writes or
 // some conditional branch refines (Interpret refines the tested
 // register when the branch's two edges lead to different
-// instructions).
-func (ai *AbsInt) track(prog []isa.Instruction) {
+// instructions). It returns each instruction's refined register's
+// slot, -1 where none is.
+func (ai *AbsInt) track(prog []isa.Instruction, uops []isa.Uop) []int16 {
 	for r := range ai.slot {
 		ai.slot[r] = -1
 	}
-	add := func(r isa.Reg) {
+	add := func(r isa.Reg) int16 {
 		if ai.slot[r.Flat()] < 0 {
 			ai.slot[r.Flat()] = int16(ai.width)
 			ai.width++
 		}
+		return ai.slot[r.Flat()]
 	}
-	for i, ins := range prog {
-		if d, ok := ins.Dst(); ok {
-			add(d)
+	cond := make([]int16, len(prog))
+	for i, u := range uops {
+		if u.HasDst {
+			add(u.Dst)
 		}
-		if c, ok := ins.Op.CondReg(); ok && int(ins.Imm) != i+1 {
-			add(c)
+		cond[i] = -1
+		if u.Cond && int(prog[i].Imm) != i+1 {
+			cond[i] = add(u.CondReg)
 		}
 	}
+	return cond
 }
 
 // widenAfter is the number of joins into a loop head tolerated before
@@ -621,7 +626,8 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 	if n == 0 {
 		return ai
 	}
-	ai.track(a.Prog.Instructions)
+	uops := isa.Predecode(a.Prog)
+	cond := ai.track(a.Prog.Instructions, uops)
 	w := ai.width
 	// One block holds every pre-state, then a scratch state.
 	block := make([]AbsVal, (n+1)*w)
@@ -644,41 +650,47 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 	}
 	joins := make([]int, n)
 
-	var srcs [2]isa.Reg
 	ai.Reached[0] = true
-	work := make([]int, 1, n) // a FIFO: work[head:] is pending
+	// The worklist is a FIFO ring of n slots: inWork keeps each
+	// instruction in it at most once.
+	work := make([]int, n)
 	inWork := make([]bool, n)
+	head, pending := 0, 1
+	push := func(s int) {
+		if !inWork[s] {
+			work[(head+pending)%n] = s
+			pending++
+			inWork[s] = true
+		}
+	}
 	inWork[0] = true
 
-	for head := 0; head < len(work); head++ {
+	for pending > 0 {
 		i := work[head]
+		head, pending = (head+1)%n, pending-1
 		inWork[i] = false
 
-		ins := a.Prog.Instructions[i]
+		ins, u := a.Prog.Instructions[i], &uops[i]
 		copy(out, ai.in[i*w:(i+1)*w])
-		ss := ins.Srcs(srcs[:0])
 		var s1, s2 AbsVal
-		if len(ss) > 0 {
-			s1 = val(out, ss[0])
+		if u.NSrc > 0 {
+			s1 = val(out, u.Src[0])
 		}
-		if len(ss) > 1 {
-			s2 = val(out, ss[1])
+		if u.NSrc > 1 {
+			s2 = val(out, u.Src[1])
 		}
-		if d, ok := ins.Dst(); ok {
-			if ins.Op.Info().Load {
-				out[ai.slot[d.Flat()]] = Top // memory contents are not modelled
+		if u.HasDst {
+			if u.Load {
+				out[ai.slot[u.Dst.Flat()]] = Top // memory contents are not modelled
 			} else {
-				out[ai.slot[d.Flat()]] = absALU(ins, s1, s2)
+				out[ai.slot[u.Dst.Flat()]] = absALU(ins, s1, s2)
 			}
 		}
 
 		// Two distinguishable edges refine the tested register, slot c:
 		// each edge carries out with out[c] replaced by its refinement of
 		// the tested value.
-		c := int16(-1)
-		if condReg, ok := ins.Op.CondReg(); ok && int(ins.Imm) != i+1 {
-			c = ai.slot[condReg.Flat()]
-		}
+		c := cond[i]
 		var tested AbsVal
 		if c >= 0 {
 			tested = out[c]
@@ -695,10 +707,7 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 			if !ai.Reached[s] {
 				copy(in, out)
 				ai.Reached[s] = true
-				if !inWork[s] {
-					work = append(work, s)
-					inWork[s] = true
-				}
+				push(s)
 				continue
 			}
 			changed := false
@@ -720,10 +729,7 @@ func (a *Analysis) Interpret(entry AbsRegs, memWords int) *AbsInt {
 			}
 			if changed {
 				joins[s]++
-				if !inWork[s] {
-					work = append(work, s)
-					inWork[s] = true
-				}
+				push(s)
 			}
 		}
 	}

@@ -25,6 +25,9 @@
 //     the functional-unit latencies. Every engine's simulated cycle
 //     count must be at least this bound; the oracle tests in the root
 //     package assert exactly that for all kernels and engines.
+//   - Replay (replay.go) computes the census and both bounds (with and
+//     without the memory-dependence tightening) from one functional
+//     replay; ComputeCensus and ComputeBound are views of the same loop.
 //
 // See docs/DFA.md for the design and the bound's assumptions.
 package dfa

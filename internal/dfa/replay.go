@@ -41,7 +41,7 @@ func Replay(p *isa.Program, st *exec.State, cfg BoundConfig) (Dynamic, error) {
 type replay struct {
 	p         *isa.Program
 	st        *exec.State
-	dec       []decoded // per static instruction
+	uops      []isa.Uop // per static instruction
 	maxInstr  int64
 	lat       fu.Latencies
 	fwdLat    int64 // load latency when forwarding may apply
@@ -58,40 +58,6 @@ type replay struct {
 	readSince [isa.NumRegs]bool
 
 	tight, regOnly boundTrack
-}
-
-// decoded is what the replay needs of one static instruction, worked
-// out once per program. Registers are flat indices.
-type decoded struct {
-	srcs   [2]int16
-	nSrcs  uint8
-	dst    int16 // -1 if none
-	data   int16 // a store's data register
-	unit   isa.Unit
-	load   bool
-	store  bool
-	branch bool
-	// bubble: a taken jump or conditional branch costs a dead fetch
-	// cycle.
-	bubble bool
-}
-
-func decode(ins isa.Instruction) decoded {
-	var buf [2]isa.Reg
-	info := ins.Op.Info()
-	d := decoded{dst: -1, unit: info.Unit, load: info.Load, store: info.Store, branch: ins.Op.IsBranch(),
-		bubble: ins.Op == isa.Jmp || ins.Op.IsConditional()}
-	for _, r := range ins.Srcs(buf[:0]) {
-		d.srcs[d.nSrcs] = int16(r.Flat())
-		d.nSrcs++
-	}
-	if r, ok := ins.Dst(); ok {
-		d.dst = int16(r.Flat())
-	}
-	if info.Store {
-		d.data = int16(isa.Reg{File: info.File, Idx: ins.I}.Flat())
-	}
-	return d
 }
 
 // boundTrack accumulates one dataflow limit.
@@ -117,10 +83,7 @@ func newReplay(p *isa.Program, st *exec.State, cfg BoundConfig, tight, regOnly b
 		fwd = cfg.FwdLatency
 	}
 	r := replay{p: p, st: st, maxInstr: cfg.MaxInstr, lat: cfg.Lat, fwdLat: int64(fwd)}
-	r.dec = make([]decoded, len(p.Instructions))
-	for i, ins := range p.Instructions {
-		r.dec[i] = decode(ins)
-	}
+	r.uops = isa.Predecode(p)
 	r.tight.on, r.regOnly.on = tight, regOnly
 	if tight {
 		r.tight.stores = &storeTable{index: map[int64]int32{}, lastKey: -1}
@@ -153,9 +116,9 @@ func (r *replay) step() bool {
 		return false
 	}
 	r.dyn++
-	d := &r.dec[pc] // the step succeeded, so pc was in range
+	u := &r.uops[pc] // the step succeeded, so pc was in range
 	taken := st.PC != pc+1
-	r.count(d, taken)
+	r.count(u, taken)
 
 	// An instruction cannot leave the single decode stage before its
 	// slot in the in-order stream: one instruction per cycle, plus at
@@ -165,22 +128,22 @@ func (r *replay) step() bool {
 	// bound.)
 	slot := r.slot
 	r.slot++
-	if d.bubble && taken {
+	if u.Branch && taken {
 		r.slot++
 	}
 	if r.tight.on {
-		r.tight.issue(d, slot, addr, r.fwdLat, &r.lat)
+		r.tight.issue(u, slot, addr, r.fwdLat, &r.lat)
 	}
 	if r.regOnly.on {
-		r.regOnly.issue(d, slot, -1, r.fwdLat, &r.lat)
+		r.regOnly.issue(u, slot, -1, r.fwdLat, &r.lat)
 	}
 	return true
 }
 
 // count tallies one executed instruction into the hazard census.
-func (r *replay) count(d *decoded, taken bool) {
+func (r *replay) count(u *isa.Uop, taken bool) {
 	c := &r.c
-	if d.branch {
+	if u.Branch {
 		c.Branches++
 		if taken {
 			c.Taken++
@@ -190,25 +153,28 @@ func (r *replay) count(d *decoded, taken bool) {
 	// the destination's prior state is sampled before this instruction's
 	// own reads are recorded (reading your own destination operand is
 	// not a hazard).
+	dst := -1
 	prevWritten, prevRead := false, false
-	if d.dst >= 0 {
-		prevWritten, prevRead = r.written[d.dst], r.readSince[d.dst]
+	if u.HasDst {
+		dst = u.Dst.Flat()
+		prevWritten, prevRead = r.written[dst], r.readSince[dst]
 	}
-	for _, f := range d.srcs[:d.nSrcs] {
+	for _, s := range u.Src[:u.NSrc] {
+		f := s.Flat()
 		if r.written[f] {
 			c.RAW++
 		}
 		r.readSince[f] = true
 	}
-	if d.dst >= 0 {
+	if dst >= 0 {
 		if prevWritten {
 			c.WAW++
 		}
 		if prevRead {
 			c.WAR++
 		}
-		r.written[d.dst] = true
-		r.readSince[d.dst] = false
+		r.written[dst] = true
+		r.readSince[dst] = false
 	}
 }
 
@@ -218,16 +184,16 @@ func (r *replay) count(d *decoded, taken bool) {
 // completes its unit latency later. addr is the effective address of a
 // memory instruction when the memory-dependence tightening is on, -1
 // otherwise.
-func (b *boundTrack) issue(d *decoded, start, addr, fwdLat int64, lat *fu.Latencies) {
-	for _, f := range d.srcs[:d.nSrcs] {
-		if t := b.ready[f]; t > start {
+func (b *boundTrack) issue(u *isa.Uop, start, addr, fwdLat int64, lat *fu.Latencies) {
+	for _, s := range u.Src[:u.NSrc] {
+		if t := b.ready[s.Flat()]; t > start {
 			start = t
 		}
 	}
 	firstTouch := false
 	if addr >= 0 {
 		e := b.stores.entry(addr)
-		if d.load {
+		if u.Load {
 			switch t := *e; {
 			case t >= stored:
 				// The load returns the latest store's data: it cannot
@@ -242,15 +208,15 @@ func (b *boundTrack) issue(d *decoded, start, addr, fwdLat int64, lat *fu.Latenc
 				firstTouch = true
 				*e = touchedByLoad
 			}
-		} else if d.store {
+		} else if u.Store {
 			// The stored value cannot be delivered to any load before
-			// the store knows both its data and its address (the base
-			// register is its first source).
-			*e = stored + max(b.ready[d.data], b.ready[d.srcs[0]])
+			// the store knows both its address and its data, its two
+			// sources.
+			*e = stored + max(b.ready[u.Src[0].Flat()], b.ready[u.Src[1].Flat()])
 		}
 	}
 	var l int64
-	switch d.unit {
+	switch u.Unit {
 	case isa.UnitMem:
 		// Loads may be satisfied by load-register forwarding, so the
 		// dependence edge is only as heavy as the cheaper path, except
@@ -262,14 +228,14 @@ func (b *boundTrack) issue(d *decoded, start, addr, fwdLat int64, lat *fu.Latenc
 		}
 	case isa.UnitNone:
 	default:
-		l = int64(lat[d.unit])
+		l = int64(lat[u.Unit])
 	}
 	done := start + l
 	if done > b.crit {
 		b.crit = done
 	}
-	if d.dst >= 0 {
-		b.ready[d.dst] = done
+	if u.HasDst {
+		b.ready[u.Dst.Flat()] = done
 	}
 }
 
