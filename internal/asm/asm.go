@@ -258,21 +258,15 @@ func MustAssemble(src string) *Unit {
 func scan(src string) ([]stmt, error) {
 	out := make([]stmt, 0, strings.Count(src, "\n")+1)
 	for n := 1; src != ""; n++ {
-		// One pass finds the end of the line and where a comment starts.
-		end, comment := len(src), -1
-		for i := 0; i < len(src); i++ {
-			if c := src[i]; c == '\n' {
-				end = i
-				break
-			} else if (c == ';' || c == '#') && comment < 0 {
-				comment = i
-			}
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
+		// A comment starts at the first ';' or '#'.
+		if i := strings.IndexByte(line, ';'); i >= 0 {
+			line = line[:i]
 		}
-		line := src[:end]
-		if comment >= 0 {
-			line = line[:comment]
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
 		}
-		src = src[min(end+1, len(src)):]
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
@@ -314,17 +308,23 @@ func operands(ops string, out []string) int {
 	return n
 }
 
+// fieldSep marks the ASCII bytes that separate directive fields: a
+// comma and the white space unicode.IsSpace reports.
+var fieldSep = [utf8.RuneSelf]bool{',': true, ' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
+
 // directiveFields splits a directive's operand text at commas and white
 // space into out, and returns the field count, capped at len(out).
 func directiveFields(ops string, out []string) int {
 	n := 0
 	start := -1 // start of the current field, -1 between fields
 	for i := 0; i < len(ops); {
-		r, size := rune(ops[i]), 1
-		if r >= utf8.RuneSelf {
+		c, size := ops[i], 1
+		sep := fieldSep[c&0x7f]
+		if c >= utf8.RuneSelf {
+			var r rune
 			r, size = utf8.DecodeRuneInString(ops[i:])
+			sep = unicode.IsSpace(r)
 		}
-		sep := r == ',' || unicode.IsSpace(r)
 		switch {
 		case sep && start >= 0:
 			out[n] = ops[start:i]
