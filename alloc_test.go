@@ -245,9 +245,9 @@ func TestVerifiedRunProgramAllocs(t *testing.T) {
 // Lint, MemDeps, and the one replay that yields the census and both
 // dataflow bounds. The total must stay within a small multiple of the
 // source's length. Storage sized by the machine rather than the program
-// breaks it at once: a 144-register pre-state per instruction costs
-// about 100 bytes per byte of source, and a dependence table over the
-// whole memory image 256 KiB.
+// breaks the bound at once: a full 144-register pre-state is 3,456
+// bytes for an instruction whose source line is a few dozen, and a
+// dependence table over the whole memory image is 256 KiB.
 func TestAnalyzeAllocsFollowProgram(t *testing.T) {
 	const perSourceByte, runs = 64, 5
 	mc := machine.DefaultConfig()
