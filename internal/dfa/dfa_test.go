@@ -168,6 +168,19 @@ loop:
 	if b.Cycles != 7 {
 		t.Errorf("Cycles = %d, want 7 (6 instructions + 1 taken-branch bubble)", b.Cycles)
 	}
+
+	// A jump always redirects fetch, even to its own fall-through.
+	b, err = dfa.ComputeBound(prog(t, `
+    jmp  next
+next:
+    halt
+`), exec.NewState(nil), dfa.BoundConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Cycles != 3 {
+		t.Errorf("jmp to the next instruction: Cycles = %d, want 3 (2 instructions + 1 jump bubble)", b.Cycles)
+	}
 }
 
 func TestComputeBoundForwardingCap(t *testing.T) {

@@ -122,13 +122,13 @@ func (r *replay) step() bool {
 
 	// An instruction cannot leave the single decode stage before its
 	// slot in the in-order stream: one instruction per cycle, plus at
-	// least one dead fetch cycle after every taken branch. (A
-	// conditional branch whose target is its own fall-through cannot be
-	// told apart from an untaken one here; skipping it only loosens the
-	// bound.)
+	// least one dead fetch cycle after every jump and every taken
+	// conditional branch. (A conditional branch whose target is its own
+	// fall-through cannot be told apart from an untaken one here;
+	// skipping it only loosens the bound.)
 	slot := r.slot
 	r.slot++
-	if u.Branch && taken {
+	if u.Branch && (!u.Cond || taken) {
 		r.slot++
 	}
 	if r.tight.on {
