@@ -253,8 +253,8 @@ func MustAssemble(src string) *Unit {
 }
 
 // scan splits the source into statements: it drops comments and blank
-// lines, and cuts each remaining line into label, mnemonic and operand
-// text without copying any of it.
+// lines, and cuts each remaining line into label, lower-cased mnemonic
+// and operand text.
 func scan(src string) ([]stmt, error) {
 	out := make([]stmt, 0, strings.Count(src, "\n")+1)
 	for n := 1; src != ""; n++ {

@@ -87,9 +87,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var (
 		name string
 		unit *asm.Unit
+		st   *exec.State
 		err  error
 	)
-	newState := func() (*exec.State, error) { return exec.NewState(unit.NewMemory()), nil }
 	switch {
 	case req.Asm != "" && req.Kernel != "":
 		writeError(w, http.StatusUnprocessableEntity, "asm and kernel are mutually exclusive")
@@ -101,6 +101,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			writeUnprocessable(w, err)
 			return
 		}
+		st = exec.NewState(unit.NewMemory())
 	case req.Kernel != "":
 		k := livermore.ByName(req.Kernel)
 		if k == nil {
@@ -108,22 +109,18 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		name = k.Name
-		unit, err = k.Unit()
+		if unit, err = k.Unit(); err == nil {
+			st, err = k.NewState()
+		}
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		newState = k.NewState
 	default:
 		writeError(w, http.StatusUnprocessableEntity, "need asm or kernel")
 		return
 	}
 
-	st, err := newState()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
 	an := dfa.Analyze(unit.Prog)
 	ai := an.InterpretState(st)
 	findings, nErrors := renderFindings(ai.Lint())
