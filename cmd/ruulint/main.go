@@ -1,9 +1,10 @@
 // Command ruulint runs the repository's static-analysis passes
-// (internal/analysis) over the module. They guard the paper's
+// (internal/analysis) over the module. They guard the model's
 // invariants: determinism hygiene in simulation packages (total on map
-// iteration in the issue engines), the precise-state mutation
-// discipline, hot-path allocation freedom, enum switch exhaustiveness
-// and paper-constant conformance, plus the suppression meta-pass.
+// iteration in the issue engines), hot-path allocation freedom, enum
+// switch exhaustiveness and paper-constant conformance, plus the
+// suppression meta-pass. The precise-state claim is checked at every
+// commit by the root package's tests instead (stateOracle).
 //
 // Usage:
 //

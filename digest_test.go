@@ -110,7 +110,8 @@ func checkLifecycle(events []ProbeEvent, instructions int64) error {
 }
 
 // configDigest runs the 14 kernels under cfg with a ProbeRecorder
-// attached, checks each run's lifecycle accounting, and returns one
+// attached, checks each run's lifecycle accounting and, on a precise
+// engine, its state at every commit (stateOracle), and returns one
 // SHA-256 over, per kernel in order: the cycle count, the stall
 // vector, every probe event and every per-cycle sample. label names
 // the configuration in failures.
@@ -118,8 +119,7 @@ func configDigest(t *testing.T, label string, cfg Config) string {
 	h := sha256.New()
 	var buf []byte
 	rec := NewProbeRecorder()
-	c := cfg
-	c.Machine.Probe = rec
+	cfg.Machine.Probe = rec
 	for _, k := range livermore.Kernels() {
 		rec.Events, rec.Samples = rec.Events[:0], rec.Samples[:0]
 		u, err := k.Unit()
@@ -130,6 +130,7 @@ func configDigest(t *testing.T, label string, cfg Config) string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c, oracle := withStateOracle(cfg, label+", "+k.Name, u.Prog, st)
 		m, err := NewMachine(c)
 		if err != nil {
 			t.Fatal(err)
@@ -137,6 +138,9 @@ func configDigest(t *testing.T, label string, cfg Config) string {
 		res, err := m.Run(u.Prog, st)
 		if err != nil || res.Trap != nil {
 			t.Fatalf("%s: err=%v trap=%v", k.Name, err, res.Trap)
+		}
+		if err := oracle.Err(); err != nil {
+			t.Fatal(err)
 		}
 		if err := k.Verify(st); err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
@@ -173,7 +177,9 @@ func configDigest(t *testing.T, label string, cfg Config) string {
 // configuration, a digest of the complete observable timing behaviour
 // over the Livermore kernels: cycles, stall vectors, the probe event
 // stream and the per-cycle samples. Each run's stream must also pass
-// checkLifecycle, so no engine drops or doubles a commit or squash. The cycle-count goldens cover a
+// checkLifecycle, so no engine drops or doubles a commit or squash, and
+// each run of a precise engine must pass stateOracle at every commit.
+// The cycle-count goldens cover a
 // spread of configurations by their totals; this covers all of them
 // event by event, so a restructured engine that changes any event of
 // any run fails here. Regenerate with -run TestEngineEquivalenceDigest

@@ -3,25 +3,20 @@
 // plus the repo-specific passes that turn the simulator's correctness
 // conventions into machine-checked invariants.
 //
-// The paper's central claim — the RUU provides out-of-order issue *and*
-// precise interrupts from a single structure — survives in this
-// reproduction only while two disciplines hold: architectural state is
-// mutated exclusively on audited commit/writeback paths, and every run
-// is bit-for-bit reproducible. The runtime tagunit SelfCheck verifies the
-// first at simulation time for the configurations that happen to run;
-// the passes here verify both at the source level for every engine and
-// every configuration, so the disciplines scale with the codebase
+// The paper's experiments are repeatable only while every run is
+// bit-for-bit reproducible, and the model stays fast, complete and
+// numerically honest only while its hot path, enum switches and paper
+// constants follow fixed rules. The passes here check those rules at
+// the source level for every package, so they scale with the codebase
 // instead of with reviewer attention. See docs/ANALYSIS.md.
 //
-// Five passes ship (see their files for details, and docs/ANALYSIS.md
-// for the catalog). Two are syntactic invariant checks over the
+// Four passes ship (see their files for details, and docs/ANALYSIS.md
+// for the catalog). One is a syntactic invariant check over the
 // simulation core:
 //
 //   - simdeterminism: no wall-clock time, global math/rand, goroutines,
 //     channel selects, or order-sensitive map iteration in simulation
 //     packages, and no map iteration at all in an engine package.
-//   - precisestate: architectural register-file and memory writes only
-//     from allowlisted commit/writeback functions.
 //
 // Three more run on a lightweight dataflow layer (a module-wide
 // RTA-style call graph, see callgraph.go):
@@ -33,14 +28,17 @@
 //   - paperconst: model constants match internal/isa/paperconst.go; no
 //     drifted or restated magic numbers.
 //
-// A sixth, "suppression", lints the linter's own suppression markers
+// A fifth, "suppression", lints the linter's own suppression markers
 // (see suppress.go).
 //
-// Two engine contracts are held outside this package, where they are
-// checked exactly: the root package's engine-equivalence digest test
+// Three engine contracts are held outside this package, where they are
+// checked exactly. The root package's engine-equivalence digest test
 // asserts every engine's lifecycle events (each committed instruction
 // was decoded and commits once; each issued one ends in one commit or
-// one squash) over every table configuration, and issue.Context keeps its probe
+// one squash) over every table configuration. On every precise
+// configuration it also checks the paper's central claim (§5) at every
+// commit: registers and memory equal a functional shadow stepped
+// through the committed prefix. And issue.Context keeps its probe
 // unexported, so an engine can reach it only through the nil-guarded
 // emission helpers.
 //
@@ -243,23 +241,4 @@ func recvTypeName(fd *ast.FuncDecl) string {
 			return ""
 		}
 	}
-}
-
-// namedRecvOf returns the receiver's named type name for a method
-// object, dereferencing a pointer receiver, or "" when fn is not a
-// method on a named type.
-func namedRecvOf(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name()
 }

@@ -22,29 +22,11 @@ var SimPackages = []string{
 }
 
 // EnginePackages lists the packages holding issue engines (relative to
-// the module path). The precisestate pass runs over these, and in them
-// simdeterminism reports every map range, whatever its body.
+// the module path). In them simdeterminism reports every map range,
+// whatever its body.
 var EnginePackages = []string{
 	"internal/issue",
 	"internal/machine",
-}
-
-// DefaultPreciseStateAllow is the audited set of architectural-state
-// mutator functions, per package (relative to the module path). The
-// RUU and the reorder buffer mutate only at commit (the precise
-// discipline); the imprecise engines mutate at completion. Extending
-// this list is an explicit, reviewed act — see docs/ANALYSIS.md.
-var DefaultPreciseStateAllow = map[string][]string{
-	// Reorder buffer variants: all architectural writes happen at the
-	// head, in commit.
-	"internal/issue/reorder": {"commit"},
-	// Simple in-order issue: registers update at result writeback in
-	// BeginCycle; stores write memory at issue (no store buffering).
-	"internal/issue/simple": {"BeginCycle", "TryIssue"},
-	// Tomasulo, Tag Unit, RS pool, RSTU and RUU: every write goes
-	// through retire, called at broadcast by the pool organisations and
-	// at in-order commit by the queue (§5).
-	"internal/issue/tagunit": {"retire"},
 }
 
 // HotPathPackages lists the packages (relative to the module path)
@@ -135,8 +117,7 @@ func DefaultPaperSpec(modulePath string) PaperSpec {
 }
 
 // DefaultPasses returns the repository's pass set wired with the
-// default scopes and allowlist, for a module with the given path
-// ("ruu").
+// default scopes, for a module with the given path ("ruu").
 func DefaultPasses(modulePath string) []*Pass {
 	prefix := func(rels []string) []string {
 		out := make([]string, len(rels))
@@ -145,13 +126,8 @@ func DefaultPasses(modulePath string) []*Pass {
 		}
 		return out
 	}
-	allow := Allowlist{}
-	for rel, fns := range DefaultPreciseStateAllow {
-		allow[modulePath+"/"+rel] = fns
-	}
 	passes := []*Pass{
 		NewSimDeterminism(prefix(SimPackages), prefix(EnginePackages)),
-		NewPreciseState(allow, prefix(EnginePackages)...),
 		NewHotPathAlloc(HotPathConfig{
 			Roots:     DefaultHotRoots(modulePath),
 			Scope:     prefix(HotPathPackages),

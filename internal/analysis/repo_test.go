@@ -19,42 +19,6 @@ func TestRepoTreeClean(t *testing.T) {
 	for _, f := range Check(mod.Packages, DefaultPasses(mod.Path)) {
 		t.Errorf("finding on the real tree: %s", f)
 	}
-
-	// The engine fingerprint must recognise the real engines — if it
-	// stops matching, precisestate findings silently lose their call
-	// path from an engine entry point.
-	engines := map[string][]string{
-		"ruu/internal/issue/simple":  {"Engine"},
-		"ruu/internal/issue/tagunit": {"Engine"},
-		"ruu/internal/issue/reorder": {"Engine"},
-	}
-	byPath := map[string]*Package{}
-	for _, p := range mod.Packages {
-		byPath[p.Path] = p
-	}
-	for path, want := range engines {
-		pkg := byPath[path]
-		if pkg == nil {
-			t.Errorf("package %s not loaded", path)
-			continue
-		}
-		got := engineTypeNames(pkg)
-		if len(got) == 0 {
-			t.Errorf("%s: no engine types recognised, want %v", path, want)
-			continue
-		}
-		for _, w := range want {
-			found := false
-			for _, g := range got {
-				if g == w {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("%s: engine types %v missing %s", path, got, w)
-			}
-		}
-	}
 }
 
 // TestRuulintCommandExitsZero runs the actual CLI over the real tree.

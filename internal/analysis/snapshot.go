@@ -6,8 +6,8 @@ import "sync"
 // analysis plus the one expensive derived structure the passes share:
 // the module call graph, built at most once per load. A single Load
 // feeds a single Snapshot, and every pass — and every output format —
-// runs off the same in-memory state: hotpathalloc and precisestate
-// both read the graph through Graph. BenchmarkRuulint in
+// runs off the same in-memory state: hotpathalloc reads the graph
+// through Graph. BenchmarkRuulint in
 // internal/bench tracks the wall-clock cost as the ruulint_ns
 // trajectory point.
 type Snapshot struct {

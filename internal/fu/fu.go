@@ -8,6 +8,7 @@ package fu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ruu/internal/isa"
 )
@@ -63,8 +64,9 @@ func (l Latencies) Max() int {
 	return m
 }
 
-// busWindow is the size of the result-bus reservation ring. It must
-// exceed the largest latency plus slack for forwarded-load rescheduling.
+// busWindow is the size of the result-bus reservation ring, one bit of
+// a uint64 per cycle. It must exceed the largest latency plus slack for
+// forwarded-load rescheduling.
 const busWindow = 64
 
 // ResultBus tracks reservations of the single result bus. A functional
@@ -72,8 +74,8 @@ const busWindow = 64
 // reservation discipline of [17], which the paper adopts for the model
 // architecture); dispatch stalls when the slot is taken.
 type ResultBus struct {
-	taken [busWindow]bool
-	base  int64 // cycles below base are in the past
+	taken uint64 // bit cycle%busWindow: the slot is reserved
+	base  int64  // cycles below base are in the past
 }
 
 // NewResultBus returns an empty bus.
@@ -81,7 +83,7 @@ func NewResultBus() *ResultBus { return &ResultBus{} }
 
 // Reset clears all reservations and rewinds time to cycle 0.
 func (b *ResultBus) Reset() {
-	b.taken = [busWindow]bool{}
+	b.taken = 0
 	b.base = 0
 }
 
@@ -89,40 +91,46 @@ func (b *ResultBus) Reset() {
 // when flushing in-flight work (interrupt, misprediction recovery of the
 // whole window).
 func (b *ResultBus) Clear() {
-	b.taken = [busWindow]bool{}
+	b.taken = 0
 }
 
 // Reserve claims the bus for the given cycle. It reports whether the
 // claim succeeded (false if the slot was already taken).
 func (b *ResultBus) Reserve(cycle int64) bool {
-	i := b.index(cycle)
-	if b.taken[i] {
+	bit := b.bit(cycle)
+	if b.taken&bit != 0 {
 		return false
 	}
-	b.taken[i] = true
+	b.taken |= bit
 	return true
 }
 
 // Busy reports whether the bus is reserved for the given cycle.
 func (b *ResultBus) Busy(cycle int64) bool {
-	return b.taken[b.index(cycle)]
+	return b.taken&b.bit(cycle) != 0
 }
 
 // Advance informs the bus that time has reached the given cycle; slots
 // before it are recycled.
 func (b *ResultBus) Advance(cycle int64) {
-	for b.base < cycle {
-		b.taken[b.base%busWindow] = false
-		b.base++
+	switch n := cycle - b.base; {
+	case n >= busWindow:
+		b.taken = 0
+	case n > 0:
+		b.taken &^= bits.RotateLeft64(1<<n-1, int(uint64(b.base)%busWindow))
+	default:
+		return
 	}
+	b.base = cycle
 }
 
-func (b *ResultBus) index(cycle int64) int64 {
+// bit returns the reservation bit of the given cycle.
+func (b *ResultBus) bit(cycle int64) uint64 {
 	if cycle < b.base {
 		panic(fmt.Sprintf("fu: bus access for past cycle %d (base %d)", cycle, b.base))
 	}
 	if cycle >= b.base+busWindow {
 		panic(fmt.Sprintf("fu: bus access for cycle %d too far beyond base %d", cycle, b.base))
 	}
-	return cycle % busWindow
+	return 1 << (uint64(cycle) % busWindow)
 }

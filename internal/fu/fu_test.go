@@ -97,3 +97,23 @@ func TestResultBusPanics(t *testing.T) {
 		b.Reserve(10 + busWindow)
 	})
 }
+
+// TestResultBusAdvanceJumps advances a full window by steps that wrap
+// the ring or skip it whole: exactly the passed slots are recycled.
+func TestResultBusAdvanceJumps(t *testing.T) {
+	b := NewResultBus()
+	base := int64(0)
+	for _, step := range []int64{3, 61, 64, 1, 130, 7, 63} {
+		for c := base; c < base+busWindow; c++ {
+			b.Reserve(c)
+		}
+		end := base + busWindow
+		base += step
+		b.Advance(base)
+		for c := base; c < base+busWindow; c++ {
+			if b.Busy(c) != (c < end) {
+				t.Fatalf("after advancing %d to %d: Busy(%d) = %v", step, base, c, b.Busy(c))
+			}
+		}
+	}
+}

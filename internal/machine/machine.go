@@ -146,7 +146,9 @@ type Stats struct {
 	// Stalls counts, for each stall reason, the cycles in which the
 	// decode stage failed to retire or hand over an instruction.
 	Stalls [issue.NumStallReasons]int64
-	// MaxInFlight is the peak engine occupancy observed.
+	// MaxInFlight is the peak engine occupancy observed. Occupancy
+	// rises only when an instruction enters the engine, so it is
+	// sampled there.
 	MaxInFlight int
 	// IBufMisses counts instruction-buffer misses (zero unless the
 	// instruction-buffer fetch model is enabled).
@@ -353,6 +355,9 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 		pending = append(pending, pendingRetire{engineIssued(), dec.id, dec.pc, branch, taken})
 	}
 	mature := func(c int64) {
+		if pendHead == len(pending) {
+			return
+		}
 		done := m.eng.Retired()
 		for pendHead < len(pending) && pending[pendHead].issuedBefore <= done {
 			p := pending[pendHead]
@@ -514,7 +519,6 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 		case ins.Op == isa.Halt:
 			if m.eng.Drained() {
 				retireMachine(c, false, false) // HALT counts as executed
-				stats.MaxInFlight = maxInt(stats.MaxInFlight, m.eng.InFlight())
 				finalize(c)
 				return result, nil
 			}
@@ -525,6 +529,7 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 				// Enter the engine so a wrong-path jump is squashable and
 				// counted only if architecturally executed.
 				if _, r := spec.IssueBranch(c, dec.pc, *ins, true); r == issue.StallNone {
+					stats.MaxInFlight = max(stats.MaxInFlight, m.eng.InFlight())
 					dec = decodeReg{}
 					pc = target
 					fetchDelay = m.cfg.PredictedTakenBubble
@@ -540,6 +545,7 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 		case speculating && u.Cond:
 			predictTaken := pred.Predict(dec.pc)
 			if _, r := spec.IssueBranch(c, dec.pc, *ins, predictTaken); r == issue.StallNone {
+				stats.MaxInFlight = max(stats.MaxInFlight, m.eng.InFlight())
 				target := int(ins.Imm)
 				dec = decodeReg{}
 				if predictTaken {
@@ -569,12 +575,12 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 			}
 		default:
 			if r := m.eng.TryIssue(c, dec.pc, *ins); r == issue.StallNone {
+				stats.MaxInFlight = max(stats.MaxInFlight, m.eng.InFlight())
 				dec = decodeReg{}
 			} else {
 				recordStall(c, r)
 			}
 		}
-		stats.MaxInFlight = maxInt(stats.MaxInFlight, m.eng.InFlight())
 
 		// Fetch phase.
 		if fetchDelay > 0 {
@@ -613,11 +619,4 @@ func (m *Machine) Run(prog *isa.Program, st *exec.State) (Result, error) {
 			})
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

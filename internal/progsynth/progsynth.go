@@ -74,7 +74,8 @@ func GenerateRand(r *rand.Rand, opts Options) *isa.Program {
 }
 
 // NewState returns an architectural state with the data window
-// initialised deterministically from the seed and A6 pointing at it.
+// initialised deterministically from the seed. A6 is zero until the
+// generated prologue points it at the window.
 //
 // The seed is perturbed before use so that the data window and the
 // program drawn from the same seed are decorrelated; NewStateRand with
@@ -84,7 +85,8 @@ func NewState(seed int64, opts Options) *exec.State {
 }
 
 // NewStateRand returns an architectural state with the data window
-// drawn from r and A6 pointing at it. The caller owns the source.
+// drawn from r. A6 is zero until the generated prologue points it at
+// the window. The caller owns the source.
 func NewStateRand(r *rand.Rand, opts Options) *exec.State {
 	opts.fill()
 	mem := memsys.NewMemory(0)

@@ -259,7 +259,8 @@ func TestImpreciseEnginesAreImprecise(t *testing.T) {
 // TestPreciseInterruptRandomPoints is the property-based form: random
 // programs, random fault points, all three bypass modes, with and
 // without speculation — prefix equality and post-resume correctness must
-// hold everywhere.
+// hold everywhere, and the state must match a functional shadow at every
+// commit on both sides of the resumed fault.
 func TestPreciseInterruptRandomPoints(t *testing.T) {
 	opts := progsynth.Options{Nested: true, CondBranches: true}
 	bypass := []ruu.BypassKind{ruu.BypassFull, ruu.BypassNone, ruu.BypassLimited}
@@ -277,6 +278,8 @@ func TestPreciseInterruptRandomPoints(t *testing.T) {
 			n := int(seed % (refRes.Loads + refRes.Stores))
 			cfg := ruu.Config{Engine: ruu.EngineRUU, Entries: 5 + int(seed%20), Bypass: bypass[seed%3]}
 			cfg.Machine.Speculate = seed%2 == 0
+			st := progsynth.NewState(seed, opts)
+			cfg, oracle := ruu.WithStateOracle(cfg, fmt.Sprintf("seed %d", seed), prog, st)
 			m, err := ruu.NewMachine(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -287,10 +290,12 @@ func TestPreciseInterruptRandomPoints(t *testing.T) {
 				resumed = true
 				return ruu.InterruptAction{Resume: true, ResumePC: ev.Trap.PC}
 			})
-			st := progsynth.NewState(seed, opts)
 			res, err := m.Run(prog, st)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if err := oracle.Err(); err != nil {
+				t.Error(err)
 			}
 			if res.Trap != nil {
 				t.Fatalf("unrecovered trap: %v", res.Trap)

@@ -42,14 +42,18 @@ func runSynth(t *testing.T, seed int64, opts progsynth.Options, cfg ruu.Config, 
 		t.Fatalf("seed %d: generator produced a trapping program: %v", seed, refRes.Trap)
 	}
 	cfg.Machine.Speculate = spec
-	m, err := ruu.NewMachine(cfg)
+	st := progsynth.NewState(seed, opts)
+	c, oracle := ruu.WithStateOracle(cfg, fmt.Sprintf("seed %d cfg %+v", seed, cfg), prog, st)
+	m, err := ruu.NewMachine(c)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	st := progsynth.NewState(seed, opts)
 	res, err := m.Run(prog, st)
 	if err != nil {
 		t.Fatalf("seed %d cfg %+v: run: %v", seed, cfg, err)
+	}
+	if err := oracle.Err(); err != nil {
+		t.Error(err)
 	}
 	if res.Trap != nil {
 		t.Fatalf("seed %d cfg %+v: unexpected trap %v", seed, cfg, res.Trap)
@@ -67,7 +71,8 @@ func runSynth(t *testing.T, seed int64, opts progsynth.Options, cfg ruu.Config, 
 
 // TestPropertyRandomPrograms runs randomly synthesized programs through
 // every engine configuration: architectural equivalence with the
-// functional executor is the property.
+// functional executor is the property, at every commit on a precise
+// engine and at the end on every engine.
 func TestPropertyRandomPrograms(t *testing.T) {
 	opts := progsynth.Options{Nested: true}
 	for seed := int64(1); seed <= 60; seed++ {
